@@ -545,68 +545,66 @@ let p7_native_rename ?(max_n = 1024) ?(warmup = 0) () =
    quantiles (commit clock on sim, wall ns on native) are reported and
    merged into the JSON metrics but not gated. *)
 let p8_service_churn () =
+  let module Drive = Exsel_service.Drive in
   let module Churn = Exsel_service.Churn in
   let module M = Exsel_obs.Metrics in
   let merged = M.create () in
   let metrics = ref [] in
-  let base =
-    {
-      Churn.default with
-      Churn.shards = 2;
-      cap = 3;
-      sessions = 5;
-      rounds = 5;
-      seeds = [ 1 ];
-    }
-  in
+  let svc = { Drive.default with shards = 2; cap = 3; rounds = 5; seeds = [ 1 ] } in
   let underscored s = String.map (fun c -> if c = '-' then '_' else c) s in
   let rows =
     List.concat_map
       (fun backend ->
-        let bname = Churn.backend_name backend in
+        let bname = Drive.backend_name backend in
         List.map
           (fun regime ->
             let rid = Churn.regime_id regime in
-            let cfg = { base with Churn.backend; regimes = [ regime ] } in
+            let cfg =
+              {
+                Churn.service = { svc with backend };
+                sessions = 5;
+                regimes = [ regime ];
+              }
+            in
             let report = Churn.run cfg in
             let c =
-              match report.Churn.r_cells with
+              match report.Drive.r_cells with
               | [ c ] -> c
               | _ -> assert false
             in
-            (match c.Churn.c_violations with
+            (match c.Drive.c_violations with
             | [] -> ()
             | v :: _ ->
                 Printf.eprintf "P8: %s %s violates a service claim: %s\n"
                   bname rid v;
                 exit 1);
-            M.merge ~into:merged report.Churn.r_metrics;
+            M.merge ~into:merged report.Drive.r_metrics;
             metrics :=
               ( Printf.sprintf "p8_%s_acquires_%s" bname (underscored rid),
-                float_of_int c.Churn.c_acquires )
+                float_of_int c.Drive.c_acquires )
               :: !metrics;
             let unit =
-              match backend with Churn.Sim -> "commits" | _ -> "ns"
+              match backend with Drive.Sim -> "commits" | _ -> "ns"
             in
             let h =
-              M.histogram c.Churn.c_metrics
+              M.histogram c.Drive.c_metrics
                 ("exsel_acquire_latency_" ^ unit)
                 ~labels:[ ("regime", rid); ("backend", bname) ]
             in
             [
               bname;
               rid;
-              Table.cell_int c.Churn.c_acquires;
-              Table.cell_int c.Churn.c_releases;
-              Table.cell_int c.Churn.c_crashes;
-              Table.cell_int c.Churn.c_spills;
-              Table.cell_int c.Churn.c_recycles;
-              Table.cell_int c.Churn.c_max_name;
+              Table.cell_int c.Drive.c_acquires;
+              Table.cell_int c.Drive.c_releases;
+              Table.cell_int c.Drive.c_crashes;
+              Table.cell_int c.Drive.c_spills;
+              Table.cell_int c.Drive.c_recycles;
+              Table.cell_int c.Drive.c_max_name;
               Table.cell_int (M.hquantile h 0.50);
               Table.cell_int (M.hquantile h 0.99);
             ])
           Churn.all_regimes)
-      [ Churn.Sim; Churn.Native { domains = 2 } ]
+      [ Drive.Sim; Drive.Native { domains = 2 } ]
   in
   ( Table.make ~id:"P8"
       ~title:"perf: service held-names churn (sim commit clock + native domains)"
@@ -643,73 +641,69 @@ let p8_service_churn () =
    (commit clock on sim, wall ns on native) show the tail cost of
    clumped arrivals and are reported but not gated. *)
 let p9_open_loop () =
-  let module Churn = Exsel_service.Churn in
+  let module Drive = Exsel_service.Drive in
   let module Workload = Exsel_service.Workload in
   let module M = Exsel_obs.Metrics in
   let merged = M.create () in
   let metrics = ref [] in
-  let base =
-    {
-      Workload.default with
-      Workload.shards = 2;
-      cap = 3;
-      rounds = 8;
-      rate = 3;
-      hold = 2;
-      seeds = [ 1 ];
-    }
-  in
+  let svc = { Drive.default with shards = 2; cap = 3; rounds = 8; seeds = [ 1 ] } in
   let rows =
     List.concat_map
       (fun backend ->
-        let bname = Churn.backend_name backend in
+        let bname = Drive.backend_name backend in
         List.map
           (fun pattern ->
             let pid = Workload.pattern_id pattern in
             let cfg =
-              { base with Workload.backend; patterns = [ pattern ] }
+              {
+                Workload.default with
+                service = { svc with backend };
+                rate = 3;
+                hold = 2;
+                patterns = [ pattern ];
+              }
             in
             let report = Workload.run cfg in
             let c =
-              match report.Workload.wr_cells with
+              match report.Drive.r_cells with
               | [ c ] -> c
               | _ -> assert false
             in
-            (match c.Workload.w_violations with
+            (match c.Drive.c_violations with
             | [] -> ()
             | v :: _ ->
                 Printf.eprintf "P9: %s %s violates a service claim: %s\n"
                   bname pid v;
                 exit 1);
-            M.merge ~into:merged report.Workload.wr_metrics;
+            M.merge ~into:merged report.Drive.r_metrics;
             metrics :=
               (Printf.sprintf "p9_%s_acquires_%s" bname pid,
-                float_of_int c.Workload.w_acquires)
+                float_of_int c.Drive.c_acquires)
               :: (Printf.sprintf "p9_%s_arrivals_%s" bname pid,
-                   float_of_int c.Workload.w_arrivals)
+                   float_of_int c.Drive.c_arrivals)
               :: !metrics;
             let unit =
-              match backend with Churn.Sim -> "commits" | _ -> "ns"
+              match backend with Drive.Sim -> "commits" | _ -> "ns"
             in
             let h =
-              M.histogram c.Workload.w_metrics
+              M.histogram c.Drive.c_metrics
                 ("exsel_workload_acquire_latency_" ^ unit)
                 ~labels:[ ("pattern", pid); ("backend", bname) ]
             in
             [
               bname;
               pid;
-              Table.cell_int c.Workload.w_arrivals;
-              Table.cell_int c.Workload.w_admitted;
-              Table.cell_int c.Workload.w_rejected;
-              Table.cell_int c.Workload.w_acquires;
-              Table.cell_int c.Workload.w_releases;
+              Table.cell_int c.Drive.c_arrivals;
+              Table.cell_int c.Drive.c_admitted;
+              Table.cell_int c.Drive.c_rejects;
+              Table.cell_int c.Drive.c_acquires;
+              Table.cell_int c.Drive.c_releases;
               Table.cell_int (M.hquantile h 0.50);
               Table.cell_int (M.hquantile h 0.99);
               Table.cell_int (M.hquantile h 0.999);
             ])
           Workload.all_patterns)
-      [ Churn.Sim; Churn.Native { domains = 2 } ]
+      [ Drive.Sim; Drive.Native { domains = 2 } ]
   in
   ( Table.make ~id:"P9"
       ~title:"perf: open-loop workload latency tails (sim + native)"

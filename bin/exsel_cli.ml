@@ -30,13 +30,26 @@ let resolve_jobs jobs =
   else if jobs = 0 then Exsel_sim.Pool.default_jobs ()
   else jobs
 
-(* An unwritable --metrics-out/--events path is a usage error (exit 2),
-   caught before any work runs rather than after a long campaign. *)
-let open_out_or_exit2 path =
-  try open_out path
+(* An unwritable output path is a usage error (exit 2), caught before any
+   work runs rather than after a long campaign. *)
+let open_out_or_exit2
+    ?(mode = [ Open_wronly; Open_creat; Open_trunc; Open_text ]) path =
+  try open_out_gen mode 0o666 path
   with Sys_error msg ->
     Printf.eprintf "cannot open output file: %s\n" msg;
     exit 2
+
+(* FILE outputs written only at the end (--json, --chrome, --trace) are
+   probed up front the same way.  The probe appends, and removes a file it
+   created, so an output the run then has nothing to write (conformance
+   --chrome with no violation) leaves no empty file behind. *)
+let check_outputs =
+  List.iter
+    (Option.iter (fun path ->
+         let existed = Sys.file_exists path in
+         let mode = [ Open_wronly; Open_creat; Open_append ] in
+         close_out (open_out_or_exit2 ~mode path);
+         if not existed then Sys.remove path))
 
 let check_us_per_commit us =
   if us <= 0 then begin
@@ -185,6 +198,7 @@ let run_rename_native algo procs seed domains warmup profile json trace chrome
     exit 2
   end;
   let metrics_oc = Option.map open_out_or_exit2 metrics_out in
+  check_outputs [ json; trace; chrome ];
   let r = H.run ~warmup ~probe:true ~algo:halgo ~n:procs ~domains ~seed () in
   let reg =
     match Obs_metrics.ambient () with
@@ -311,6 +325,7 @@ let run_rename_native algo procs seed domains warmup profile json trace chrome
 let run_rename_sim algo k n n_names procs seed crashes profile json chrome
     us_per_commit =
   check_us_per_commit us_per_commit;
+  check_outputs [ json; chrome ];
   let mem = Memory.create () in
   let rt = Runtime.create mem in
   let rename, _m = build_renamer algo mem ~k ~n ~n_names ~seed in
@@ -707,6 +722,7 @@ let run_explore target contenders crashes reduce do_shrink max_paths jobs
   check_us_per_commit us_per_commit;
   let metrics_oc = Option.map open_out_or_exit2 metrics_out in
   let events_oc = Option.map open_out_or_exit2 events_file in
+  check_outputs [ trace_file; chrome_file; json_file ];
   let em = make_emitter ~events_oc ~progress in
   let drive ~init ~check =
     emit em
@@ -894,6 +910,7 @@ let run_experiments only json =
             exit 2
         | sel -> sel)
   in
+  check_outputs [ json ];
   match json with
   | Some path ->
       let entries = Report.observe named in
@@ -903,40 +920,86 @@ let run_experiments only json =
   | None -> List.iter (fun (_, f) -> Table.print (f ())) named
 
 (* ------------------------------------------------------------------ *)
-(* conformance subcommand                                              *)
+(* Campaigns: conformance, service, workload                           *)
 (* ------------------------------------------------------------------ *)
 
 module Conf_adapter = Exsel_conformance.Adapter
 module Conf_regime = Exsel_conformance.Regime
 module Campaign = Exsel_conformance.Campaign
+module Service_core = Exsel_service.Core
+module Drive = Exsel_service.Drive
+module Churn = Exsel_service.Churn
+module Workload = Exsel_service.Workload
 
-let run_conformance algos regimes adversary seeds_spec k steps_multiple
-    max_commits no_shrink jobs json chrome metrics_out events_file progress
-    us_per_commit =
+(* The flags every campaign subcommand shares. *)
+type campaign = {
+  jobs : int;
+  seeds : string;
+  json : string option;
+  chrome : string option;
+  metrics_out : string option;
+  events : string option;
+  progress : bool;
+  us_per_commit : int;
+}
+
+let campaign_seeds c =
+  match Campaign.seeds_of_string c.seeds with
+  | Ok seeds -> seeds
+  | Error msg ->
+      Printf.eprintf "--seeds %s: %s\n" c.seeds msg;
+      exit 2
+
+let ids_or_exit2 ~what ~find ~ids ~all = function
+  | [] -> all
+  | l ->
+      List.map
+        (fun id ->
+          match find id with
+          | Some x -> x
+          | None ->
+              Printf.eprintf "unknown %s %S; valid ids: %s\n" what id
+                (String.concat " " (ids ()));
+              exit 2)
+        l
+
+(* The one path that runs a campaign.  -j, the time scale and every
+   output path are checked before the first cell; the metrics and event
+   streams are opened then, the report, exposition and trace written at
+   the end. *)
+let run_campaign c ~start ~run ~event ~done_ ~pp ~to_json ~metrics ~violations
+    ~chrome =
+  let jobs = resolve_jobs c.jobs in
+  check_us_per_commit c.us_per_commit;
+  check_outputs [ c.json; c.chrome ];
+  let metrics_oc = Option.map open_out_or_exit2 c.metrics_out in
+  let events_oc = Option.map open_out_or_exit2 c.events in
+  let em = make_emitter ~events_oc ~progress:c.progress in
+  emit em start;
+  let report = run ~jobs ~on_event:(fun ev -> emit em (event ev)) in
+  emit em (done_ report);
+  Option.iter close_out events_oc;
+  Format.printf "%a" pp report;
+  (match (metrics_oc, c.metrics_out) with
+  | Some oc, Some path -> write_openmetrics oc path (metrics report)
+  | _ -> ());
+  Option.iter
+    (fun path ->
+      Trace_export.write_file path (to_json report);
+      Printf.printf "wrote %s\n" path)
+    c.json;
+  Option.iter (chrome report) c.chrome;
+  if violations report > 0 then exit 1
+
+let run_conformance algos regimes adversary k steps_multiple max_commits
+    no_shrink c =
   let algos =
-    match algos with
-    | [] -> Conf_adapter.honest
-    | ids ->
-        List.map
-          (fun id ->
-            match Conf_adapter.find id with
-            | Some a -> a
-            | None ->
-                Printf.eprintf "unknown algorithm %S; valid ids: %s\n" id
-                  (String.concat " " (Conf_adapter.ids ()));
-                exit 2)
-          ids
+    ids_or_exit2 ~what:"algorithm" ~find:Conf_adapter.find ~ids:Conf_adapter.ids
+      ~all:Conf_adapter.honest algos
   in
   let named_regimes =
-    List.map
-      (fun id ->
-        match Conf_regime.find id with
-        | Some r -> r
-        | None ->
-            Printf.eprintf "unknown regime %S; valid ids: %s\n" id
-              (String.concat " " (Conf_regime.ids ()));
-            exit 2)
-      regimes
+    ids_or_exit2 ~what:"regime" ~find:Conf_regime.find ~ids:Conf_regime.ids
+      ~all:[] regimes
   in
   let dsl_regimes =
     List.map
@@ -953,22 +1016,11 @@ let run_conformance algos regimes adversary seeds_spec k steps_multiple
     | [] -> Conf_regime.all
     | rs -> rs
   in
-  let seeds =
-    match Campaign.seeds_of_string seeds_spec with
-    | Ok seeds -> seeds
-    | Error msg ->
-        Printf.eprintf "--seeds %s: %s\n" seeds_spec msg;
-        exit 2
-  in
+  let seeds = campaign_seeds c in
   if k < 2 then begin
     Printf.eprintf "--k must be at least 2\n";
     exit 2
   end;
-  let jobs = resolve_jobs jobs in
-  check_us_per_commit us_per_commit;
-  let metrics_oc = Option.map open_out_or_exit2 metrics_out in
-  let events_oc = Option.map open_out_or_exit2 events_file in
-  let em = make_emitter ~events_oc ~progress in
   let cfg =
     {
       Campaign.algos;
@@ -980,23 +1032,13 @@ let run_conformance algos regimes adversary seeds_spec k steps_multiple
       shrink = not no_shrink;
     }
   in
-  emit em (Campaign.start_event cfg);
-  let report =
-    Campaign.run ~jobs ~on_event:(fun ev -> emit em (Campaign.event_json ev)) cfg
-  in
-  emit em (Campaign.done_event report);
-  Option.iter close_out events_oc;
-  Format.printf "%a" Campaign.pp_summary report;
-  (match (metrics_oc, metrics_out) with
-  | Some oc, Some path -> write_openmetrics oc path report.Campaign.r_metrics
-  | _ -> ());
-  (match json with
-  | Some path ->
-      Trace_export.write_file path (Campaign.to_json report);
-      Printf.printf "wrote %s\n" path
-  | None -> ());
-  (match chrome with
-  | Some path -> (
+  run_campaign c ~start:(Campaign.start_event cfg)
+    ~run:(fun ~jobs ~on_event -> Campaign.run ~jobs ~on_event cfg)
+    ~event:Campaign.event_json ~done_:Campaign.done_event
+    ~pp:Campaign.pp_summary ~to_json:Campaign.to_json
+    ~metrics:(fun r -> r.Campaign.r_metrics)
+    ~violations:(fun r -> r.Campaign.r_violations)
+    ~chrome:(fun report path ->
       let first_trace =
         List.find_map
           (fun c ->
@@ -1008,51 +1050,33 @@ let run_conformance algos regimes adversary seeds_spec k steps_multiple
       match first_trace with
       | Some events ->
           Trace_export.write_file path
-            (Trace_export.chrome ~us_per_commit events);
+            (Trace_export.chrome ~us_per_commit:c.us_per_commit events);
           Printf.printf "wrote %s\n" path
       | None -> Printf.printf "no violation trace to export to %s\n" path)
-  | None -> ());
-  if report.Campaign.r_violations > 0 then exit 1
 
-(* ------------------------------------------------------------------ *)
-(* service subcommand                                                  *)
-(* ------------------------------------------------------------------ *)
-
-module Service_core = Exsel_service.Core
-module Churn = Exsel_service.Churn
-
-let parse_adversary_opt = function
-  | None -> None
-  | Some expr -> (
-      match Exsel_adversary.Dsl.parse expr with
-      | Ok e -> Some e
-      | Error msg ->
-          Printf.eprintf "--adversary %S: %s\n" expr msg;
-          exit 2)
-
-let run_service backend domains shards cap sessions rounds entry churn
-    seeds_spec max_commits adversary jobs json chrome metrics_out events_file
-    progress us_per_commit =
+(* The service shape both load subcommands share, checked before their
+   own flags: backend and --domains, --chrome on the simulator only, the
+   entry renamer, the seeds and the adversary term. *)
+let service_config backend domains shards cap rounds entry max_commits
+    adversary c =
   let backend =
     match backend with
     | "sim" ->
-        (match domains with
-        | Some _ ->
-            Printf.eprintf "--domains only applies to --backend native\n";
-            exit 2
-        | None -> ());
-        Churn.Sim
-    | "native" -> Churn.Native { domains = Option.value domains ~default:4 }
+        if domains <> None then begin
+          Printf.eprintf "--domains only applies to --backend native\n";
+          exit 2
+        end;
+        Drive.Sim
+    | "native" -> Drive.Native { domains = Option.value domains ~default:4 }
     | other ->
         Printf.eprintf "unknown backend %S; valid: sim, native\n" other;
         exit 2
   in
-  (match (backend, chrome) with
-  | Churn.Native _, Some _ ->
-      Printf.eprintf
-        "--chrome only applies to --backend sim (traces are commit-clock)\n";
-      exit 2
-  | _ -> ());
+  if backend <> Drive.Sim && c.chrome <> None then begin
+    Printf.eprintf
+      "--chrome only applies to --backend sim (traces are commit-clock)\n";
+    exit 2
+  end;
   let entry =
     match Service_core.entry_algo_of_string entry with
     | Some e -> e
@@ -1061,210 +1085,78 @@ let run_service backend domains shards cap sessions rounds entry churn
           entry;
         exit 2
   in
-  let regimes =
-    match churn with
-    | [] -> Churn.all_regimes
-    | ids ->
-        List.map
-          (fun id ->
-            match Churn.regime_of_string id with
-            | Some r -> r
-            | None ->
-                Printf.eprintf "unknown churn regime %S; valid ids: %s\n" id
-                  (String.concat " " (Churn.regime_ids ()));
-                exit 2)
-          ids
+  let seeds = campaign_seeds c in
+  let adversary =
+    Option.map
+      (fun expr ->
+        match Exsel_adversary.Dsl.parse expr with
+        | Ok e -> e
+        | Error msg ->
+            Printf.eprintf "--adversary %S: %s\n" expr msg;
+            exit 2)
+      adversary
   in
-  let seeds =
-    match Campaign.seeds_of_string seeds_spec with
-    | Ok seeds -> seeds
-    | Error msg ->
-        Printf.eprintf "--seeds %s: %s\n" seeds_spec msg;
-        exit 2
-  in
-  let adversary = parse_adversary_opt adversary in
-  let cfg =
-    {
-      Churn.shards;
-      cap;
-      sessions;
-      rounds;
-      entry;
-      regimes;
-      seeds;
-      backend;
-      max_commits;
-      adversary;
-    }
-  in
-  (match Churn.validate cfg with
+  ({ Drive.shards; cap; rounds; entry; seeds; backend; max_commits; adversary }, c)
+
+(* The run path both load subcommands share: validate, run the cells and,
+   on --chrome, re-run the showcase cell with traces attached and export
+   its busiest shard's commit-clock track. *)
+let run_load c ~validate ~start ~run ~event ~pp ~to_json ~showcase =
+  (match validate with
   | Ok () -> ()
   | Error msg ->
       Printf.eprintf "%s\n" msg;
       exit 2);
-  let jobs = resolve_jobs jobs in
-  check_us_per_commit us_per_commit;
-  let metrics_oc = Option.map open_out_or_exit2 metrics_out in
-  let events_oc = Option.map open_out_or_exit2 events_file in
-  let em = make_emitter ~events_oc ~progress in
-  emit em (Churn.start_event cfg);
-  let report =
-    Churn.run ~jobs ~on_event:(fun ev -> emit em (Churn.event_json ev)) cfg
+  run_campaign c ~start ~run ~event ~done_:Drive.done_event ~pp ~to_json
+    ~metrics:(fun r -> r.Drive.r_metrics)
+    ~violations:(fun r -> r.Drive.r_violations)
+    ~chrome:(fun _ path ->
+      let what, traces = showcase () in
+      let shard, _, events =
+        List.fold_left
+          (fun ((_, best, _) as acc) ((_, commits, _) as cand) ->
+            if commits > best then cand else acc)
+          (List.hd traces) (List.tl traces)
+      in
+      Trace_export.write_file path
+        (Trace_export.chrome ~us_per_commit:c.us_per_commit events);
+      Printf.printf "wrote %s (shard %d, %s)\n" path shard what)
+
+let run_service (service, c) sessions churn =
+  let regimes =
+    ids_or_exit2 ~what:"churn regime" ~find:Churn.regime_of_string
+      ~ids:Churn.regime_ids ~all:Churn.all_regimes churn
   in
-  emit em (Churn.done_event report);
-  Option.iter close_out events_oc;
-  Format.printf "%a" Churn.pp_summary report;
-  (match (metrics_oc, metrics_out) with
-  | Some oc, Some path -> write_openmetrics oc path report.Churn.r_metrics
-  | _ -> ());
-  (match json with
-  | Some path ->
-      Trace_export.write_file path (Churn.to_json report);
-      Printf.printf "wrote %s\n" path
-  | None -> ());
-  (match chrome with
-  | Some path ->
-      (* re-run one cell with traces attached — prefer the hot-shard
-         regime (the skew is what the Perfetto view is for) — and export
-         the busiest shard's commit-clock track *)
+  let cfg = { Churn.service; sessions; regimes } in
+  run_load c ~validate:(Churn.validate cfg) ~start:(Churn.start_event cfg)
+    ~run:(fun ~jobs ~on_event -> Churn.run ~jobs ~on_event cfg)
+    ~event:Churn.event_json ~pp:Churn.pp_summary ~to_json:Churn.to_json
+    ~showcase:(fun () ->
+      (* the skew is what the Perfetto view is for *)
       let regime =
         if List.mem Churn.Hot_shard regimes then Churn.Hot_shard
         else List.hd regimes
       in
-      let traces = Churn.shard_traces cfg regime ~seed:(List.hd seeds) in
-      let shard, _, events =
-        List.fold_left
-          (fun ((_, best, _) as acc) ((_, commits, _) as cand) ->
-            if commits > best then cand else acc)
-          (List.hd traces) (List.tl traces)
-      in
-      Trace_export.write_file path (Trace_export.chrome ~us_per_commit events);
-      Printf.printf "wrote %s (shard %d, %s regime)\n" path shard
-        (Churn.regime_id regime)
-  | None -> ());
-  if report.Churn.r_violations > 0 then exit 1
+      ( Churn.regime_id regime ^ " regime",
+        Churn.shard_traces cfg regime ~seed:(List.hd service.seeds) ))
 
-(* ------------------------------------------------------------------ *)
-(* workload subcommand                                                 *)
-(* ------------------------------------------------------------------ *)
-
-module Workload = Exsel_service.Workload
-
-let run_workload backend domains shards cap entry rounds rate burst_every hold
-    patterns seeds_spec max_commits adversary jobs json chrome metrics_out
-    events_file progress us_per_commit =
-  let backend =
-    match backend with
-    | "sim" ->
-        (match domains with
-        | Some _ ->
-            Printf.eprintf "--domains only applies to --backend native\n";
-            exit 2
-        | None -> ());
-        Churn.Sim
-    | "native" -> Churn.Native { domains = Option.value domains ~default:4 }
-    | other ->
-        Printf.eprintf "unknown backend %S; valid: sim, native\n" other;
-        exit 2
-  in
-  (match (backend, chrome) with
-  | Churn.Native _, Some _ ->
-      Printf.eprintf
-        "--chrome only applies to --backend sim (traces are commit-clock)\n";
-      exit 2
-  | _ -> ());
-  let entry =
-    match Service_core.entry_algo_of_string entry with
-    | Some e -> e
-    | None ->
-        Printf.eprintf "unknown entry renamer %S; valid: efficient, adaptive\n"
-          entry;
-        exit 2
-  in
+let run_workload (service, c) rate burst_every hold patterns =
   let patterns =
-    match patterns with
-    | [] -> Workload.all_patterns
-    | ids ->
-        List.map
-          (fun id ->
-            match Workload.pattern_of_string id with
-            | Some p -> p
-            | None ->
-                Printf.eprintf "unknown arrival pattern %S; valid ids: %s\n" id
-                  (String.concat " " (Workload.pattern_ids ()));
-                exit 2)
-          ids
+    ids_or_exit2 ~what:"arrival pattern" ~find:Workload.pattern_of_string
+      ~ids:Workload.pattern_ids ~all:Workload.all_patterns patterns
   in
-  let seeds =
-    match Campaign.seeds_of_string seeds_spec with
-    | Ok seeds -> seeds
-    | Error msg ->
-        Printf.eprintf "--seeds %s: %s\n" seeds_spec msg;
-        exit 2
-  in
-  let adversary = parse_adversary_opt adversary in
-  let cfg =
-    {
-      Workload.shards;
-      cap;
-      entry;
-      rounds;
-      rate;
-      burst_every;
-      hold;
-      patterns;
-      seeds;
-      backend;
-      max_commits;
-      adversary;
-    }
-  in
-  (match Workload.validate cfg with
-  | Ok () -> ()
-  | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2);
-  let jobs = resolve_jobs jobs in
-  check_us_per_commit us_per_commit;
-  let metrics_oc = Option.map open_out_or_exit2 metrics_out in
-  let events_oc = Option.map open_out_or_exit2 events_file in
-  let em = make_emitter ~events_oc ~progress in
-  emit em (Workload.start_event cfg);
-  let report =
-    Workload.run ~jobs ~on_event:(fun ev -> emit em (Workload.event_json ev)) cfg
-  in
-  emit em (Workload.done_event report);
-  Option.iter close_out events_oc;
-  Format.printf "%a" Workload.pp_summary report;
-  (match (metrics_oc, metrics_out) with
-  | Some oc, Some path -> write_openmetrics oc path report.Workload.wr_metrics
-  | _ -> ());
-  (match json with
-  | Some path ->
-      Trace_export.write_file path (Workload.to_json report);
-      Printf.printf "wrote %s\n" path
-  | None -> ());
-  (match chrome with
-  | Some path ->
-      (* re-run one cell with traces attached — prefer the bursty
-         pattern (the clumped arrivals are what the Perfetto view is
-         for) — and export the busiest shard's commit-clock track *)
+  let cfg = { Workload.service; rate; burst_every; hold; patterns } in
+  run_load c ~validate:(Workload.validate cfg) ~start:(Workload.start_event cfg)
+    ~run:(fun ~jobs ~on_event -> Workload.run ~jobs ~on_event cfg)
+    ~event:Workload.event_json ~pp:Workload.pp_summary ~to_json:Workload.to_json
+    ~showcase:(fun () ->
+      (* the clumped arrivals are what the Perfetto view is for *)
       let pattern =
         if List.mem Workload.Bursty patterns then Workload.Bursty
         else List.hd patterns
       in
-      let traces = Workload.shard_traces cfg pattern ~seed:(List.hd seeds) in
-      let shard, _, events =
-        List.fold_left
-          (fun ((_, best, _) as acc) ((_, commits, _) as cand) ->
-            if commits > best then cand else acc)
-          (List.hd traces) (List.tl traces)
-      in
-      Trace_export.write_file path (Trace_export.chrome ~us_per_commit events);
-      Printf.printf "wrote %s (shard %d, %s pattern)\n" path shard
-        (Workload.pattern_id pattern)
-  | None -> ());
-  if report.Workload.wr_violations > 0 then exit 1
+      ( Workload.pattern_id pattern ^ " pattern",
+        Workload.shard_traces cfg pattern ~seed:(List.hd service.seeds) ))
 
 (* ------------------------------------------------------------------ *)
 (* cmdliner wiring                                                     *)
@@ -1468,6 +1360,47 @@ let explore_cmd =
       $ jobs $ trace $ chrome $ json $ metrics_out_t $ events_t $ progress_t
       $ us_per_commit_t)
 
+(* The campaign flags shared by conformance, service and workload. *)
+let campaign_t ~matrix ~schema ~chrome_doc =
+  let jobs =
+    Arg.(
+      value & opt int 1
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            ("Shard the " ^ matrix
+           ^ " matrix across $(docv) domains (0 = one per core).  The report \
+              is byte-identical to -j 1."))
+  in
+  let seeds =
+    Arg.(
+      value & opt string "3"
+      & info [ "seeds" ] ~docv:"N|LIST"
+          ~doc:
+            "Seeds per cell: a count (campaigns run seeds 1..N) or an \
+             explicit comma-separated list (e.g. 3,7,11).  Duplicate and \
+             negative seeds are rejected.")
+  in
+  let json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:
+            ("Write the full report as one " ^ schema ^ " document to $(docv)."))
+  in
+  let chrome =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "chrome" ] ~docv:"FILE" ~doc:chrome_doc)
+  in
+  let campaign jobs seeds json chrome metrics_out events progress us_per_commit =
+    { jobs; seeds; json; chrome; metrics_out; events; progress; us_per_commit }
+  in
+  Term.(
+    const campaign $ jobs $ seeds $ json $ chrome $ metrics_out_t $ events_t
+    $ progress_t $ us_per_commit_t)
+
 let conformance_cmd =
   let doc =
     "run crash-fault conformance campaigns checking every paper claim"
@@ -1488,15 +1421,6 @@ let conformance_cmd =
           ~doc:
             "Fault regime to campaign under (repeatable; default: all).  Ids: \
              random, crash-half, crash-on-write, freeze, lockstep.")
-  in
-  let seeds =
-    Arg.(
-      value & opt string "3"
-      & info [ "seeds" ] ~docv:"N|LIST"
-          ~doc:
-            "Seeds per cell: a count (campaigns run seeds 1..N) or an \
-             explicit comma-separated list (e.g. 3,7,11).  Duplicate and \
-             negative seeds are rejected.")
   in
   let k =
     Arg.(
@@ -1536,42 +1460,17 @@ let conformance_cmd =
       & info [ "no-shrink" ]
           ~doc:"Skip ddmin minimization of violating schedules.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Shard the algo\xc3\x97regime matrix across $(docv) domains (0 = \
-             one per core).  The report is byte-identical to -j 1.")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write the full report as one exsel-conformance/1 document to \
-             $(docv).")
-  in
-  let chrome =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chrome" ] ~docv:"FILE"
-          ~doc:
-            "Write the first violation's value-carrying trace as Chrome \
-             trace-event JSON to $(docv) (open at ui.perfetto.dev).")
-  in
   Cmd.v (Cmd.info "conformance" ~doc)
     Term.(
-      const run_conformance $ algos $ regimes $ adversary $ seeds $ k
-      $ steps_multiple $ max_commits $ no_shrink $ jobs $ json $ chrome
-      $ metrics_out_t $ events_t $ progress_t $ us_per_commit_t)
+      const run_conformance $ algos $ regimes $ adversary $ k $ steps_multiple
+      $ max_commits $ no_shrink
+      $ campaign_t ~matrix:"algo\xc3\x97regime" ~schema:"exsel-conformance/1"
+          ~chrome_doc:
+            "Write the first violation's value-carrying trace as Chrome \
+             trace-event JSON to $(docv) (open at ui.perfetto.dev).")
 
-let service_cmd =
-  let doc =
-    "run the long-lived renaming service through seeded churn campaigns"
-  in
+(* The service shape shared by service and workload. *)
+let service_t ~load ~schema ~rounds =
   let shards =
     Arg.(
       value & opt int 2
@@ -1588,18 +1487,13 @@ let service_cmd =
           ~doc:
             "Per-shard session capacity: admission control keeps occupancy \
              (live + crash-pinned) at most $(docv), bounding acquired local \
-             names below 2\xc2\xb7$(docv) \xe2\x88\x92 1.")
-  in
-  let sessions =
-    Arg.(
-      value & opt int 6
-      & info [ "sessions" ] ~docv:"N"
-          ~doc:"Service-wide target of concurrent sessions.")
+             names below 2\xc2\xb7$(docv) \xe2\x88\x92 1; arrivals beyond \
+             the service's room are rejected.")
   in
   let rounds =
     Arg.(
-      value & opt int 6
-      & info [ "rounds" ] ~docv:"R" ~doc:"Churn rounds per campaign cell.")
+      value & opt int rounds
+      & info [ "rounds" ] ~docv:"R" ~doc:"Rounds per campaign cell.")
   in
   let entry =
     Arg.(
@@ -1609,22 +1503,6 @@ let service_cmd =
             "One-shot entry renamer assigning arriving sessions their \
              component slot: $(b,efficient) or $(b,adaptive).")
   in
-  let churn =
-    Arg.(
-      value & opt_all string []
-      & info [ "churn" ] ~docv:"ID"
-          ~doc:
-            "Churn regime to campaign under (repeatable; default: all).  \
-             Ids: waves, crash-rejoin, hot-shard.")
-  in
-  let seeds =
-    Arg.(
-      value & opt string "3"
-      & info [ "seeds" ] ~docv:"N|LIST"
-          ~doc:
-            "Seeds per regime: a count (campaigns run seeds 1..N) or an \
-             explicit comma-separated list (e.g. 3,7,11).")
-  in
   let max_commits =
     Arg.(
       value & opt int 200_000
@@ -1632,22 +1510,6 @@ let service_cmd =
           ~doc:
             "Per-round liveness budget on the simulator (exhausting it is a \
              violation).")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Shard the regime\xc3\x97seed matrix across $(docv) domains (0 = \
-             one per core).  The report is byte-identical to -j 1.")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the full report as one exsel-service/1 document to \
-                $(docv).")
   in
   let adversary =
     Arg.(
@@ -1658,41 +1520,44 @@ let service_cmd =
             "Replace the uniform within-shard simulator scheduler with a \
              crash-free adversary DSL term, e.g. $(b,cap(2, lockstep)) or \
              $(b,budget(1, uniform)) (sim backend only; crash decisions are \
-             rejected — the churn regime owns the session ledger).")
+             rejected — the load planner owns the session ledger).")
+  in
+  Term.(
+    const service_config $ backend_t $ domains_t $ shards $ cap $ rounds $ entry
+    $ max_commits $ adversary
+    $ campaign_t ~matrix:(load ^ "\xc3\x97seed") ~schema
+        ~chrome_doc:
+          "Re-run one cell with traces attached and write its busiest \
+           shard's commit-clock track as Chrome trace-event JSON to $(docv) \
+           (open at ui.perfetto.dev; sim backend only).")
+
+let service_cmd =
+  let doc =
+    "run the long-lived renaming service through seeded churn campaigns"
+  in
+  let sessions =
+    Arg.(
+      value & opt int 6
+      & info [ "sessions" ] ~docv:"N"
+          ~doc:"Service-wide target of concurrent sessions.")
+  in
+  let churn =
+    Arg.(
+      value & opt_all string []
+      & info [ "churn" ] ~docv:"ID"
+          ~doc:
+            "Churn regime to campaign under (repeatable; default: all).  \
+             Ids: waves, crash-rejoin, hot-shard.")
   in
   Cmd.v (Cmd.info "service" ~doc)
     Term.(
-      const run_service $ backend_t $ domains_t $ shards $ cap $ sessions
-      $ rounds $ entry $ churn $ seeds $ max_commits $ adversary $ jobs $ json
-      $ chrome_t $ metrics_out_t $ events_t $ progress_t $ us_per_commit_t)
+      const run_service
+      $ service_t ~load:"regime" ~schema:"exsel-service/1" ~rounds:6
+      $ sessions $ churn)
 
 let workload_cmd =
   let doc =
     "drive open-loop seeded traffic at the service and measure latency tails"
-  in
-  let shards =
-    Arg.(
-      value & opt int 2
-      & info [ "shards" ] ~docv:"S" ~doc:"Independent service shards.")
-  in
-  let cap =
-    Arg.(
-      value & opt int 4
-      & info [ "cap" ] ~docv:"K"
-          ~doc:
-            "Per-shard session capacity; arrivals beyond the service's total \
-             room are rejected open-loop (they never retry).")
-  in
-  let entry =
-    Arg.(
-      value & opt string "efficient"
-      & info [ "entry" ] ~docv:"ALGO"
-          ~doc:"One-shot entry renamer: $(b,efficient) or $(b,adaptive).")
-  in
-  let rounds =
-    Arg.(
-      value & opt int 8
-      & info [ "rounds" ] ~docv:"R" ~doc:"Arrival rounds per campaign cell.")
   in
   let rate =
     Arg.(
@@ -1722,54 +1587,11 @@ let workload_cmd =
             "Arrival pattern to campaign under (repeatable; default: all).  \
              Ids: poisson, bursty, steady.")
   in
-  let seeds =
-    Arg.(
-      value & opt string "3"
-      & info [ "seeds" ] ~docv:"N|LIST"
-          ~doc:
-            "Seeds per pattern: a count (campaigns run seeds 1..N) or an \
-             explicit comma-separated list (e.g. 3,7,11).")
-  in
-  let max_commits =
-    Arg.(
-      value & opt int 200_000
-      & info [ "max-commits" ] ~docv:"C"
-          ~doc:
-            "Per-round liveness budget on the simulator (exhausting it is a \
-             violation).")
-  in
-  let adversary =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "adversary" ] ~docv:"EXPR"
-          ~doc:
-            "Replace the uniform within-shard simulator scheduler with a \
-             crash-free adversary DSL term, e.g. $(b,cap(2, lockstep)) or \
-             $(b,budget(1, uniform)) (sim backend only).")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Shard the pattern\xc3\x97seed matrix across $(docv) domains (0 = \
-             one per core).  The report is byte-identical to -j 1.")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the full report as one exsel-workload/1 document to \
-                $(docv).")
-  in
   Cmd.v (Cmd.info "workload" ~doc)
     Term.(
-      const run_workload $ backend_t $ domains_t $ shards $ cap $ entry
-      $ rounds $ rate $ burst_every $ hold $ patterns $ seeds $ max_commits
-      $ adversary $ jobs $ json $ chrome_t $ metrics_out_t $ events_t
-      $ progress_t $ us_per_commit_t)
+      const run_workload
+      $ service_t ~load:"pattern" ~schema:"exsel-workload/1" ~rounds:8
+      $ rate $ burst_every $ hold $ patterns)
 
 let experiments_cmd =
   let doc = "regenerate the paper-reproduction tables and figures" in
@@ -1790,19 +1612,25 @@ let experiments_cmd =
 let () =
   let doc = "asynchronous exclusive selection (Chlebus & Kowalski, PODC 2008)" in
   let info = Cmd.info "exsel" ~version:"1.0.0" ~doc in
+  (* a malformed command line is a usage error, exit 2 (README.md) *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            rename_cmd;
-            deposit_cmd;
-            naming_cmd;
-            adversary_cmd;
-            lease_cmd;
-            msgrename_cmd;
-            explore_cmd;
-            conformance_cmd;
-            service_cmd;
-            workload_cmd;
-            experiments_cmd;
-          ]))
+    (match
+       Cmd.eval_value
+         (Cmd.group info
+            [
+              rename_cmd;
+              deposit_cmd;
+              naming_cmd;
+              adversary_cmd;
+              lease_cmd;
+              msgrename_cmd;
+              explore_cmd;
+              conformance_cmd;
+              service_cmd;
+              workload_cmd;
+              experiments_cmd;
+            ])
+     with
+    | Ok _ -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -1,40 +1,15 @@
-(* Churn campaigns: drive the sharded long-lived service through seeded
-   arrival/departure/crash regimes and check the long-lived claims after
-   every round.
+(* Churn campaigns: closed-loop regimes of arrivals, departures and
+   crashes, planned round by round over Drive.  Each round tops the
+   service back up to [sessions], so offered load tracks completion.
 
-   The shape mirrors lib/conformance/campaign.ml: a (regime × seed)
-   matrix of independent cells, each owning its router, shard cores,
-   runtimes and a private metrics registry, merged in matrix order — so
-   [run ~jobs] is byte-identical to [-j 1].
-
-   Execution is round-based but genuinely concurrent within a round: all
-   of a round's operations (entry joins, acquires, releases) are spawned
-   first and then interleaved one committed register operation at a time
-   by a seeded scheduler across *all* shard runtimes (sim), or run on
-   real domains by a per-round engine (native).  Claim checks run at
-   round quiescence:
-
-   - exclusive holds across generations: live leases never collide on a
-     (shard, name), and a (shard, name, generation) triple is never
-     issued twice — across releases, recycles and shard incarnations;
-   - adaptive bound in point contention: an acquired local name stays
-     below 2·k̂ − 1 where k̂ counts the sessions whose snapshot
-     component may be published during the acquire (holders, concurrent
-     acquirers/releasers, crash-pinned sessions) — a harness-side upper
-     bound on the paper's point contention, so the check is sound;
-   - no name leaked after release: a released slot publishes nothing at
-     quiescence (and, dually, a crash-pinned name is still published —
-     the crash model pins it forever). *)
+   Regime streams are Rng V1 (the biased stream): the P8 baselines and
+   the seeded walkthroughs in EXPERIMENTS.md depend on them bit for
+   bit. *)
 
 module Rng = Exsel_sim.Rng
-module Memory = Exsel_sim.Memory
-module Runtime = Exsel_sim.Runtime
-module Trace = Exsel_sim.Trace
 module Json = Exsel_obs.Json
 module Metrics = Exsel_obs.Metrics
-module Engine = Exsel_native.Engine
 module Dsl = Exsel_adversary.Dsl
-module NCore = Core.Native
 
 (* ------------------------------------------------------------------ *)
 (* Regimes                                                             *)
@@ -77,871 +52,131 @@ let regime_salt = function
 (* Configuration                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type backend = Sim | Native of { domains : int }
+type config = { service : Drive.config; sessions : int; regimes : regime list }
 
-let backend_name = function Sim -> "sim" | Native _ -> "native"
-
-type config = {
-  shards : int;
-  cap : int;  (** per-shard session capacity and entry slots *)
-  sessions : int;  (** service-wide target of concurrent sessions *)
-  rounds : int;
-  entry : Core.entry_algo;
-  regimes : regime list;
-  seeds : int list;
-  backend : backend;
-  max_commits : int;  (** per-round liveness budget (sim) *)
-  adversary : Dsl.expr option;
-      (** sim-only within-shard commit scheduler (crash-free DSL term);
-          [None] keeps the historical uniform interleave bit-for-bit *)
-}
-
-let default =
-  {
-    shards = 2;
-    cap = 4;
-    sessions = 6;
-    rounds = 6;
-    entry = Core.Efficient;
-    regimes = all_regimes;
-    seeds = [ 1; 2; 3 ];
-    backend = Sim;
-    max_commits = 200_000;
-    adversary = None;
-  }
+let default = { service = Drive.default; sessions = 6; regimes = all_regimes }
 
 let validate cfg =
-  if cfg.shards <= 0 then Error "shards must be positive"
-  else if cfg.cap <= 0 then Error "cap must be positive"
-  else if cfg.sessions <= 0 then Error "sessions must be positive"
-  else if cfg.rounds <= 0 then Error "rounds must be positive"
+  if cfg.sessions <= 0 then Error "sessions must be positive"
   else if cfg.regimes = [] then Error "at least one churn regime required"
-  else if cfg.seeds = [] then Error "at least one seed required"
-  else if cfg.max_commits <= 0 then Error "max-commits must be positive"
-  else
-    match (cfg.backend, cfg.adversary) with
-    | Native { domains }, _ when domains <= 0 -> Error "domains must be positive"
-    | Native _, Some _ ->
-        Error "--adversary schedules simulator commits (sim backend only)"
-    | _, Some expr when not (Dsl.crash_free expr) ->
-        Error
-          "adversary term must be crash-free for service scheduling (crash \
-           decisions would bypass the session ledger)"
-    | _ -> Ok ()
+  else Drive.validate cfg.service
 
 (* ------------------------------------------------------------------ *)
-(* Sessions and operations                                             *)
+(* Planner                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type lease = { l_shard : int; l_local : int; l_name : int; l_gen : int }
-
-type crashed = {
-  cx_pinned : lease option;  (* crashed while holding: the pinned lease *)
-  cx_participant : bool;  (* component may be published (counts in k̂) *)
-}
-
-type phase =
-  | Joining
-  | Idle
-  | Acquiring
-  | Holding of lease
-  | Releasing of lease * bool  (* depart after the release completes *)
-  | Departed
-  | Crashed of crashed
-
-type session = {
-  s_client : int;
-  s_shard : int;
-  s_epoch : int;  (* shard incarnation the session joined *)
-  mutable s_slot : int option;
-  mutable s_phase : phase;
-}
-
-type op =
-  | Join of {
-      j_s : session;
-      mutable j_slot : int option;
-      mutable j_t0 : int;
-      mutable j_t1 : int;
-    }
-  | Acq of {
-      a_s : session;
-      a_crash_after : int option;  (* sim: crash this many commits in *)
-      mutable a_kmax : int;
-      mutable a_lease : (int * int) option;
-      mutable a_crashed : bool;
-      mutable a_t0 : int;
-      mutable a_t1 : int;
-    }
-  | Rel of {
-      r_s : session;
-      r_lease : lease;
-      r_depart : bool;
-      mutable r_t0 : int;
-      mutable r_t1 : int;
-    }
-
-let op_session = function
-  | Join j -> j.j_s
-  | Acq a -> a.a_s
-  | Rel r -> r.r_s
-
-exception Round_stalled of string
-
-(* ------------------------------------------------------------------ *)
-(* Cell state                                                          *)
-(* ------------------------------------------------------------------ *)
-
-type shard_summary = {
-  ss_shard : int;
-  ss_epochs : int;  (* incarnations = router epoch + 1 *)
-  ss_admitted : int;  (* admissions in the current incarnation *)
-  ss_held_max : int;
-  ss_occupancy_max : int;
-}
-
-type cell = {
-  c_regime : string;
-  c_seed : int;
-  c_rounds : int;  (* rounds completed *)
-  c_joins : int;
-  c_acquires : int;
-  c_releases : int;
-  c_crashes : int;
-  c_spills : int;
-  c_rejects : int;
-  c_recycles : int;
-  c_commits : int;  (* sim: committed register operations; native: 0 *)
-  c_wall_ns : int;  (* native: summed engine wall; sim: 0 *)
-  c_max_name : int;  (* largest global name issued; -1 if none *)
-  c_shards : shard_summary list;
-  c_violations : string list;
-  c_metrics : Metrics.t;
-}
-
-type ctx = {
-  cfg : config;
-  regime : regime;
-  seed : int;
-  rng : Rng.t;
-  router : Router.t;
-  stride : int;
-  mutable sessions : session list;  (* creation order *)
-  mutable next_client : int;
-  issued : (int * int * int, unit) Hashtbl.t;
-  mutable violations : string list;  (* newest first *)
-  mutable joins : int;
-  mutable acquires : int;
-  mutable releases : int;
-  mutable crashes : int;
-  mutable max_name : int;
-  held_max : int array;
-  occupancy_max : int array;
-  reg : Metrics.t;
-  acq_hist : Metrics.histogram;
-  rel_hist : Metrics.histogram;
-}
-
-let violate ctx fmt =
-  Printf.ksprintf (fun m -> ctx.violations <- m :: ctx.violations) fmt
-
-let fresh_session ctx shard =
-  let client = (7919 * ctx.next_client) + 1_299_721 in
-  ctx.next_client <- ctx.next_client + 1;
-  let s =
-    {
-      s_client = client;
-      s_shard = shard;
-      s_epoch = Router.epoch ctx.router shard;
-      s_slot = None;
-      s_phase = Joining;
-    }
-  in
-  ctx.sessions <- ctx.sessions @ [ s ];
-  s
-
-(* ------------------------------------------------------------------ *)
-(* Planner (backend-independent)                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* One round of regime behaviour: decide departures/crashes/releases for
-   existing sessions, admit arrivals through the router, and return the
-   operation batch.  [recycle] rebuilds a worn-out quiescent shard's
-   core before any admission.  [midop_ok] is true on the simulator,
-   where a crash can be injected mid-acquire; natively the same draw
-   crashes the session before it starts (a crash is just a process that
-   never takes another step, so "before the op" is a legal instant). *)
-let plan ctx ~round ~midop_ok ~recycle =
-  let rng = ctx.rng in
+(* One round of regime behaviour: decide departures, crashes and
+   releases for existing sessions, then top the service back up to
+   [sessions].  On the simulator a crash can be injected mid-acquire;
+   natively the same draw crashes the session before it starts (a crash
+   is just a process that never takes another step, so "before the op"
+   is a legal instant). *)
+let plan cfg regime ctx ~round =
+  let rng = Drive.rng ctx in
   let pct p = Rng.int rng 100 < p in
-  let ops = ref [] in
-  let add op = ops := op :: !ops in
-  let rel s l depart =
-    s.s_phase <- Releasing (l, depart);
-    add (Rel { r_s = s; r_lease = l; r_depart = depart; r_t0 = 0; r_t1 = 0 })
-  in
-  let acq ?crash_after s =
-    s.s_phase <- Acquiring;
-    add
-      (Acq
-         {
-           a_s = s;
-           a_crash_after = crash_after;
-           a_kmax = 0;
-           a_lease = None;
-           a_crashed = false;
-           a_t0 = 0;
-           a_t1 = 0;
-         })
-  in
-  let crash_now s ~pinned ~participant =
-    s.s_phase <- Crashed { cx_pinned = pinned; cx_participant = participant };
-    Router.crash ctx.router s.s_shard;
-    ctx.crashes <- ctx.crashes + 1
-  in
-  for i = 0 to Router.shards ctx.router - 1 do
-    if Router.needs_recycle ctx.router i then begin
-      recycle i;
-      Router.recycled ctx.router i
-    end
-  done;
   List.iter
-    (fun s ->
+    (fun (s : Drive.session) ->
       match s.s_phase with
-      | Holding l -> (
-          match ctx.regime with
-          | Waves -> if round mod 2 = 0 && pct 60 then rel s l true
+      | Holding _ -> (
+          match regime with
+          | Waves ->
+              if round mod 2 = 0 && pct 60 then Drive.release ctx s ~depart:true
           | Crash_rejoin ->
               let d = Rng.int rng 100 in
-              if d < 15 then crash_now s ~pinned:(Some l) ~participant:true
-              else if d < 45 then rel s l false
-          | Hot_shard -> if pct 50 then rel s l false)
+              if d < 15 then Drive.crash ctx s
+              else if d < 45 then Drive.release ctx s ~depart:false
+          | Hot_shard -> if pct 50 then Drive.release ctx s ~depart:false)
       | Idle -> (
-          match ctx.regime with
+          match regime with
           | Waves ->
-              if round mod 2 = 0 && pct 40 then begin
-                s.s_phase <- Departed;
-                Router.depart ctx.router s.s_shard
-              end
-              else acq s
+              if round mod 2 = 0 && pct 40 then Drive.depart ctx s
+              else Drive.acquire ctx s
           | Crash_rejoin ->
               if Rng.int rng 100 < 15 then
-                if midop_ok then acq ~crash_after:(1 + Rng.int rng 25) s
-                else crash_now s ~pinned:None ~participant:false
-              else acq s
-          | Hot_shard -> acq s)
+                if Drive.sim ctx then
+                  Drive.acquire ~crash_after:(1 + Rng.int rng 25) ctx s
+                else Drive.crash ctx s
+              else Drive.acquire ctx s
+          | Hot_shard -> Drive.acquire ctx s)
       | Joining | Acquiring | Releasing _ | Departed | Crashed _ -> ())
-    ctx.sessions;
+    (Drive.sessions ctx);
   let live =
     List.length
       (List.filter
-         (fun s ->
+         (fun (s : Drive.session) ->
            match s.s_phase with
            | Joining | Idle | Acquiring | Holding _ | Releasing _ -> true
            | Departed | Crashed _ -> false)
-         ctx.sessions)
+         (Drive.sessions ctx))
   in
   let arrivals =
-    match ctx.regime with
-    | Waves -> if round mod 2 = 1 then max 0 (ctx.cfg.sessions - live) else 0
-    | Crash_rejoin | Hot_shard -> max 0 (ctx.cfg.sessions - live)
+    match regime with
+    | Waves -> if round mod 2 = 1 then max 0 (cfg.sessions - live) else 0
+    | Crash_rejoin | Hot_shard -> max 0 (cfg.sessions - live)
   in
   for _ = 1 to arrivals do
-    let prefer =
-      match ctx.regime with
-      | Hot_shard -> if pct 80 then Some 0 else None
-      | Waves | Crash_rejoin -> None
-    in
-    match Router.route ?prefer ctx.router with
-    | None -> () (* reject counted by the router *)
-    | Some sh ->
-        Router.admit ctx.router sh;
-        let s = fresh_session ctx sh in
-        add (Join { j_s = s; j_slot = None; j_t0 = 0; j_t1 = 0 })
-  done;
-  let ops = List.rev !ops in
-  (* k̂ upper bound per acquire: sessions on the shard whose component
-     may be published while this round runs.  All of the round's
-     operations are spawned before any commits, so the set only shrinks
-     during the round — counting it at spawn time bounds the point
-     contention of every acquire in the batch. *)
-  let active = Array.make ctx.cfg.shards 0 in
-  List.iter
-    (fun s ->
-      match s.s_phase with
-      | Acquiring | Holding _ | Releasing _ ->
-          active.(s.s_shard) <- active.(s.s_shard) + 1
-      | Crashed { cx_participant = true; _ } ->
-          active.(s.s_shard) <- active.(s.s_shard) + 1
-      | Joining | Idle | Departed | Crashed _ -> ())
-    ctx.sessions;
-  List.iter
-    (function Acq a -> a.a_kmax <- active.(a.a_s.s_shard) | Join _ | Rel _ -> ())
-    ops;
-  ops
-
-(* ------------------------------------------------------------------ *)
-(* Harvest: apply results, check claims (backend-independent)          *)
-(* ------------------------------------------------------------------ *)
-
-let harvest ctx ~round ~holder_view ops =
-  List.iter
-    (fun op ->
-      match op with
-      | Join j -> (
-          ctx.joins <- ctx.joins + 1;
-          match j.j_slot with
-          | Some sl ->
-              j.j_s.s_slot <- Some sl;
-              j.j_s.s_phase <- Idle
-          | None ->
-              (* defensive: router admission makes entry overflow
-                 unreachable, but a buggy core must not wedge the cell *)
-              violate ctx "entry-overflow: round %d: client %d rejected by \
-                           shard %d entry renamer despite admission" round
-                j.j_s.s_client j.j_s.s_shard;
-              j.j_s.s_phase <- Departed;
-              Router.depart ctx.router j.j_s.s_shard)
-      | Acq a ->
-          if a.a_crashed then begin
-            a.a_s.s_phase <- Crashed { cx_pinned = None; cx_participant = true };
-            Router.crash ctx.router a.a_s.s_shard;
-            ctx.crashes <- ctx.crashes + 1
-          end
-          else begin
-            match a.a_lease with
-            | None ->
-                violate ctx
-                  "wait-freedom: round %d: client %d acquire returned without \
-                   a lease" round a.a_s.s_client
-            | Some (local, gen) ->
-                let sh = a.a_s.s_shard in
-                let lease =
-                  {
-                    l_shard = sh;
-                    l_local = local;
-                    l_name = (sh * ctx.stride) + local;
-                    l_gen = gen;
-                  }
-                in
-                a.a_s.s_phase <- Holding lease;
-                ctx.acquires <- ctx.acquires + 1;
-                ctx.max_name <- max ctx.max_name lease.l_name;
-                Metrics.observe ctx.acq_hist (max 0 (a.a_t1 - a.a_t0));
-                if Hashtbl.mem ctx.issued (sh, local, gen) then
-                  violate ctx
-                    "generation-reuse: round %d: shard %d name %d generation \
-                     %d issued twice" round sh local gen
-                else Hashtbl.add ctx.issued (sh, local, gen) ();
-                if local > (2 * a.a_kmax) - 2 then
-                  violate ctx
-                    "adaptive-bound: round %d: shard %d local name %d exceeds \
-                     2k̂−2 for point contention k̂=%d" round sh local a.a_kmax
-          end
-      | Rel r ->
-          ctx.releases <- ctx.releases + 1;
-          Metrics.observe ctx.rel_hist (max 0 (r.r_t1 - r.r_t0));
-          if r.r_depart then begin
-            r.r_s.s_phase <- Departed;
-            Router.depart ctx.router r.r_s.s_shard
-          end
-          else r.r_s.s_phase <- Idle)
-    ops;
-  (* quiescence checks per shard: published components match the ledger.
-     Only sessions of the shard's *current* incarnation are inspected —
-     a recycled core reuses the slot space, so a departed session from a
-     previous epoch says nothing about today's holder view (recycle
-     requires quiescence, so nothing older can still be live). *)
-  for i = 0 to ctx.cfg.shards - 1 do
-    let view = holder_view i in
-    List.iter
-      (fun s ->
-        if s.s_shard = i && s.s_epoch = Router.epoch ctx.router i then
-          match (s.s_phase, s.s_slot) with
-          | Holding l, Some sl ->
-              if view.(sl) <> Some l.l_local then
-                violate ctx
-                  "hold-not-published: round %d: shard %d slot %d holds name \
-                   %d but publishes %s" round i sl l.l_local
-                  (match view.(sl) with
-                  | Some x -> string_of_int x
-                  | None -> "nothing")
-          | (Idle | Departed), Some sl ->
-              if view.(sl) <> None then
-                violate ctx
-                  "leak: round %d: shard %d slot %d still publishes name %d \
-                   after release" round i sl
-                  (Option.value (view.(sl)) ~default:(-1))
-          | Crashed { cx_pinned = Some l; _ }, Some sl ->
-              if view.(sl) <> Some l.l_local then
-                violate ctx
-                  "crash-pin: round %d: shard %d pinned name %d vanished from \
-                   slot %d" round i l.l_local sl
-          | _ -> ())
-      ctx.sessions
-  done;
-  (* exclusive holds among live leases *)
-  let holds = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      match s.s_phase with
-      | Holding l -> (
-          match Hashtbl.find_opt holds (l.l_shard, l.l_local) with
-          | Some other ->
-              violate ctx
-                "exclusive-holds: round %d: shard %d name %d held by clients \
-                 %d and %d concurrently" round l.l_shard l.l_local other
-                s.s_client
-          | None -> Hashtbl.add holds (l.l_shard, l.l_local) s.s_client)
-      | _ -> ())
-    ctx.sessions;
-  (* occupancy gauges *)
-  for i = 0 to ctx.cfg.shards - 1 do
-    ctx.occupancy_max.(i) <-
-      max ctx.occupancy_max.(i) (Router.occupancy ctx.router i);
-    let held =
-      List.length
-        (List.filter
-           (fun s ->
-             s.s_shard = i
-             && match s.s_phase with Holding _ -> true | _ -> false)
-           ctx.sessions)
-    in
-    ctx.held_max.(i) <- max ctx.held_max.(i) held
+    match regime with
+    | Hot_shard -> Drive.arrive ?prefer:(if pct 80 then Some 0 else None) ctx
+    | Waves | Crash_rejoin -> Drive.arrive ctx
   done
-
-(* ------------------------------------------------------------------ *)
-(* Simulator execution                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type sim_shard = {
-  sim_mem : Memory.t;
-  sim_rt : Runtime.t;
-  mutable sim_core : Core.t;
-  sim_trace : Trace.t option;
-}
-
-type crash_plan = {
-  cp_due : int;  (* round-commit count at which to fire *)
-  cp_rt : Runtime.t;
-  cp_proc : Runtime.proc;
-  cp_op : op;
-  mutable cp_fired : bool;
-}
-
-let exec_sim ctx shards clock ~round ~drivers ops =
-  let crashes = ref [] in
-  List.iter
-    (fun op ->
-      let s = op_session op in
-      let sh = shards.(s.s_shard) in
-      let core = sh.sim_core in
-      let spawn name body = Runtime.spawn sh.sim_rt ~name body in
-      match op with
-      | Join j ->
-          j.j_t0 <- !clock;
-          ignore
-            (spawn
-               (Printf.sprintf "c%d.join" s.s_client)
-               (fun () ->
-                 j.j_slot <- Core.join core ~client:s.s_client;
-                 j.j_t1 <- !clock))
-      | Acq a ->
-          let slot = Option.get s.s_slot in
-          a.a_t0 <- !clock;
-          let proc =
-            spawn
-              (Printf.sprintf "c%d.acquire" s.s_client)
-              (fun () ->
-                a.a_lease <- Some (Core.acquire core ~slot);
-                a.a_t1 <- !clock)
-          in
-          Option.iter
-            (fun d ->
-              crashes :=
-                {
-                  cp_due = d;
-                  cp_rt = sh.sim_rt;
-                  cp_proc = proc;
-                  cp_op = op;
-                  cp_fired = false;
-                }
-                :: !crashes)
-            a.a_crash_after
-      | Rel r ->
-          let slot = Option.get s.s_slot in
-          r.r_t0 <- !clock;
-          ignore
-            (spawn
-               (Printf.sprintf "c%d.release" s.s_client)
-               (fun () ->
-                 Core.release core ~slot ~name:r.r_lease.l_local;
-                 r.r_t1 <- !clock)))
-    ops;
-  (* interleave across all shard runtimes, one commit at a time *)
-  let commits_round = ref 0 in
-  let total_runnable () =
-    Array.fold_left (fun acc sh -> acc + Runtime.num_runnable sh.sim_rt) 0 shards
-  in
-  let fire_crashes () =
-    List.iter
-      (fun cp ->
-        if
-          (not cp.cp_fired)
-          && !commits_round >= cp.cp_due
-          && Runtime.status cp.cp_proc = Runtime.Runnable
-        then begin
-          Runtime.crash cp.cp_rt cp.cp_proc;
-          (match cp.cp_op with Acq a -> a.a_crashed <- true | _ -> ());
-          cp.cp_fired <- true
-        end)
-      !crashes
-  in
-  let rec loop () =
-    fire_crashes ();
-    let total = total_runnable () in
-    if total > 0 then begin
-      if !commits_round >= ctx.cfg.max_commits then
-        raise
-          (Round_stalled
-             (Printf.sprintf
-                "liveness: round %d: %d-commit budget exhausted with %d \
-                 operations still runnable" round ctx.cfg.max_commits total));
-      let pick = ref (Rng.int ctx.rng total) in
-      let si = ref 0 in
-      while !pick >= Runtime.num_runnable shards.(!si).sim_rt do
-        pick := !pick - Runtime.num_runnable shards.(!si).sim_rt;
-        incr si
-      done;
-      let rt = shards.(!si).sim_rt in
-      let p =
-        match drivers with
-        | None -> Runtime.nth_runnable rt !pick
-        | Some ds -> (
-            (* the uniform draw still picks the shard; the compiled
-               adversary chooses within it (crash terms are rejected by
-               validate, and a relinquishing term falls back to the
-               draw's own offset) *)
-            match ds.(!si) rt with
-            | Some (Dsl.Commit p) -> p
-            | Some (Dsl.Crash _) | None -> Runtime.nth_runnable rt !pick)
-      in
-      Runtime.commit rt p;
-      incr clock;
-      incr commits_round;
-      loop ()
-    end
-  in
-  loop ()
-
-(* ------------------------------------------------------------------ *)
-(* Native execution                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type nat_shard = {
-  nat_mem : Exsel_native.Backend.memory;
-  mutable nat_core : NCore.t;
-}
-
-let ns_to_int ns =
-  if Int64.compare ns 0L < 0 then 0
-  else if Int64.compare ns (Int64.of_int max_int) > 0 then max_int
-  else Int64.to_int ns
-
-let exec_native shards ~domains wall_acc ops =
-  if ops <> [] then begin
-    let engine = Engine.create () in
-    List.iter
-      (fun op ->
-        let s = op_session op in
-        let core = shards.(s.s_shard).nat_core in
-        match op with
-        | Join j ->
-            Engine.spawn engine
-              ~name:(Printf.sprintf "c%d.join" s.s_client)
-              (fun () ->
-                let t0 = Monotonic_clock.now () in
-                j.j_slot <- NCore.join core ~client:s.s_client;
-                j.j_t1 <- ns_to_int (Int64.sub (Monotonic_clock.now ()) t0))
-        | Acq a ->
-            let slot = Option.get s.s_slot in
-            Engine.spawn engine
-              ~name:(Printf.sprintf "c%d.acquire" s.s_client)
-              (fun () ->
-                let t0 = Monotonic_clock.now () in
-                a.a_lease <- Some (NCore.acquire core ~slot);
-                a.a_t1 <- ns_to_int (Int64.sub (Monotonic_clock.now ()) t0))
-        | Rel r ->
-            let slot = Option.get s.s_slot in
-            Engine.spawn engine
-              ~name:(Printf.sprintf "c%d.release" s.s_client)
-              (fun () ->
-                let t0 = Monotonic_clock.now () in
-                NCore.release core ~slot ~name:r.r_lease.l_local;
-                r.r_t1 <- ns_to_int (Int64.sub (Monotonic_clock.now ()) t0)))
-      ops;
-    Engine.run engine ~domains;
-    match Engine.telemetry engine with
-    | Some tl -> wall_acc := !wall_acc + ns_to_int (Engine.wall_ns tl)
-    | None -> ()
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Cells                                                               *)
-(* ------------------------------------------------------------------ *)
-
-type event =
-  | Cell_started of { index : int; regime : string; seed : int }
-  | Cell_finished of { index : int; cell : cell }
-
-let core_rng ~seed ~shard ~epoch =
-  Rng.create ~seed:((seed * 97) + shard + (1000 * epoch))
-
-let make_ctx cfg regime ~seed =
-  let reg = Metrics.create () in
-  let labels =
-    [ ("regime", regime_id regime); ("backend", backend_name cfg.backend) ]
-  in
-  let unit_suffix =
-    match cfg.backend with Sim -> "commits" | Native _ -> "ns"
-  in
-  {
-    cfg;
-    regime;
-    seed;
-    rng = Rng.create ~seed:((seed * 1_000_003) lxor regime_salt regime);
-    router = Router.create ~shards:cfg.shards ~cap:cfg.cap;
-    stride = Core.width_for cfg.entry ~cap:cfg.cap;
-    sessions = [];
-    next_client = 0;
-    issued = Hashtbl.create 64;
-    violations = [];
-    joins = 0;
-    acquires = 0;
-    releases = 0;
-    crashes = 0;
-    max_name = -1;
-    held_max = Array.make cfg.shards 0;
-    occupancy_max = Array.make cfg.shards 0;
-    reg;
-    acq_hist =
-      Metrics.histogram reg ("exsel_acquire_latency_" ^ unit_suffix) ~labels;
-    rel_hist =
-      Metrics.histogram reg ("exsel_release_latency_" ^ unit_suffix) ~labels;
-  }
-
-let finish_cell ctx ~rounds_done ~commits ~wall_ns =
-  let labels =
-    [
-      ("regime", regime_id ctx.regime);
-      ("backend", backend_name ctx.cfg.backend);
-    ]
-  in
-  let c name v = Metrics.inc (Metrics.counter ctx.reg name ~labels) v in
-  c "exsel_service_joins" ctx.joins;
-  c "exsel_service_acquires" ctx.acquires;
-  c "exsel_service_releases" ctx.releases;
-  c "exsel_service_crashes" ctx.crashes;
-  c "exsel_service_spills" (Router.spills ctx.router);
-  c "exsel_service_rejects" (Router.rejects ctx.router);
-  c "exsel_service_recycles" (Router.recycles ctx.router);
-  c "exsel_service_violations" (List.length ctx.violations);
-  for i = 0 to ctx.cfg.shards - 1 do
-    let labels = ("shard", string_of_int i) :: labels in
-    Metrics.max_gauge
-      (Metrics.gauge ctx.reg "exsel_shard_occupancy" ~labels)
-      ctx.occupancy_max.(i);
-    Metrics.max_gauge
-      (Metrics.gauge ctx.reg "exsel_shard_held" ~labels)
-      ctx.held_max.(i)
-  done;
-  {
-    c_regime = regime_id ctx.regime;
-    c_seed = ctx.seed;
-    c_rounds = rounds_done;
-    c_joins = ctx.joins;
-    c_acquires = ctx.acquires;
-    c_releases = ctx.releases;
-    c_crashes = ctx.crashes;
-    c_spills = Router.spills ctx.router;
-    c_rejects = Router.rejects ctx.router;
-    c_recycles = Router.recycles ctx.router;
-    c_commits = commits;
-    c_wall_ns = wall_ns;
-    c_max_name = ctx.max_name;
-    c_shards =
-      List.init ctx.cfg.shards (fun i ->
-          {
-            ss_shard = i;
-            ss_epochs = Router.epoch ctx.router i + 1;
-            ss_admitted = Router.admitted ctx.router i;
-            ss_held_max = ctx.held_max.(i);
-            ss_occupancy_max = ctx.occupancy_max.(i);
-          });
-    c_violations = List.rev ctx.violations;
-    c_metrics = ctx.reg;
-  }
-
-let run_cell_sim cfg regime ~seed ~capture_traces =
-  let ctx = make_ctx cfg regime ~seed in
-  let shards =
-    Array.init cfg.shards (fun i ->
-        let mem = Memory.create () in
-        let rt = Runtime.create mem in
-        let core =
-          Core.create ~algo:cfg.entry
-            ~rng:(core_rng ~seed ~shard:i ~epoch:0)
-            mem
-            ~name:(Printf.sprintf "shard%d" i)
-            ~cap:cfg.cap
-        in
-        let trace = if capture_traces then Some (Trace.attach rt) else None in
-        { sim_mem = mem; sim_rt = rt; sim_core = core; sim_trace = trace })
-  in
-  let recycle i =
-    let sh = shards.(i) in
-    let epoch = Router.epoch ctx.router i + 1 in
-    sh.sim_core <-
-      Core.create ~algo:cfg.entry
-        ~gen0:(Core.generations sh.sim_core)
-        ~rng:(core_rng ~seed ~shard:i ~epoch)
-        sh.sim_mem
-        ~name:(Printf.sprintf "shard%d.e%d" i epoch)
-        ~cap:cfg.cap
-  in
-  let drivers =
-    Option.map
-      (fun expr ->
-        Array.init cfg.shards (fun shard ->
-            Dsl.compile expr
-              ~seed:
-                (((seed * 1_000_003) lxor regime_salt regime) + (7919 * shard))
-              ~k:cfg.cap))
-      cfg.adversary
-  in
-  let clock = ref 0 in
-  let rounds_done = ref 0 in
-  (try
-     for round = 1 to cfg.rounds do
-       let ops = plan ctx ~round ~midop_ok:true ~recycle in
-       exec_sim ctx shards clock ~round ~drivers ops;
-       harvest ctx ~round
-         ~holder_view:(fun i -> Core.holder_view shards.(i).sim_core)
-         ops;
-       incr rounds_done
-     done
-   with Round_stalled msg -> ctx.violations <- msg :: ctx.violations);
-  let cell = finish_cell ctx ~rounds_done:!rounds_done ~commits:!clock ~wall_ns:0 in
-  let traces =
-    if capture_traces then
-      Array.to_list
-        (Array.mapi
-           (fun i sh ->
-             ( i,
-               Runtime.commits sh.sim_rt,
-               match sh.sim_trace with Some t -> Trace.events t | None -> [] ))
-           shards)
-    else []
-  in
-  (cell, traces)
-
-let run_cell_native cfg regime ~seed ~domains =
-  let ctx = make_ctx cfg regime ~seed in
-  let shards =
-    Array.init cfg.shards (fun i ->
-        let mem = Exsel_native.Backend.create () in
-        let core =
-          NCore.create ~algo:cfg.entry
-            ~rng:(core_rng ~seed ~shard:i ~epoch:0)
-            mem
-            ~name:(Printf.sprintf "shard%d" i)
-            ~cap:cfg.cap
-        in
-        { nat_mem = mem; nat_core = core })
-  in
-  let recycle i =
-    let sh = shards.(i) in
-    let epoch = Router.epoch ctx.router i + 1 in
-    sh.nat_core <-
-      NCore.create ~algo:cfg.entry
-        ~gen0:(NCore.generations sh.nat_core)
-        ~rng:(core_rng ~seed ~shard:i ~epoch)
-        sh.nat_mem
-        ~name:(Printf.sprintf "shard%d.e%d" i epoch)
-        ~cap:cfg.cap
-  in
-  let wall = ref 0 in
-  let rounds_done = ref 0 in
-  for round = 1 to cfg.rounds do
-    let ops = plan ctx ~round ~midop_ok:false ~recycle in
-    exec_native shards ~domains wall ops;
-    harvest ctx ~round
-      ~holder_view:(fun i -> NCore.holder_view shards.(i).nat_core)
-      ops;
-    incr rounds_done
-  done;
-  finish_cell ctx ~rounds_done:!rounds_done ~commits:0 ~wall_ns:!wall
-
-let run_cell cfg ~index regime ~seed ~on_event =
-  on_event (Cell_started { index; regime = regime_id regime; seed });
-  let cell =
-    match cfg.backend with
-    | Sim -> fst (run_cell_sim cfg regime ~seed ~capture_traces:false)
-    | Native { domains } -> run_cell_native cfg regime ~seed ~domains
-  in
-  on_event (Cell_finished { index; cell });
-  cell
 
 (* ------------------------------------------------------------------ *)
 (* Campaign                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type report = {
-  r_config : config;
-  r_cells : cell list;
-  r_violations : int;
-  r_metrics : Metrics.t;
-}
+let spec =
+  {
+    Drive.name = "Churn";
+    label = "regime";
+    rng_of_seed = Rng.create;
+    core_seed = 97;
+    client = (fun n -> (7919 * n) + 1_299_721);
+    latency_prefix = "exsel_";
+    join_latency = false;
+    counters =
+      Drive.
+        [
+          ("exsel_service_joins", fun c -> c.c_joins);
+          ("exsel_service_acquires", fun c -> c.c_acquires);
+          ("exsel_service_releases", fun c -> c.c_releases);
+          ("exsel_service_crashes", fun c -> c.c_crashes);
+          ("exsel_service_spills", fun c -> c.c_spills);
+          ("exsel_service_rejects", fun c -> c.c_rejects);
+          ("exsel_service_recycles", fun c -> c.c_recycles);
+          ("exsel_service_violations", fun c -> List.length c.c_violations);
+        ];
+    gauges =
+      Drive.
+        [
+          ("exsel_shard_occupancy", fun s -> s.ss_occupancy_max);
+          ("exsel_shard_held", fun s -> s.ss_held_max);
+        ];
+    cells_counter = "exsel_service_cells";
+  }
 
-let run ?(jobs = 1) ?(on_event = fun (_ : event) -> ()) cfg =
-  (match validate cfg with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Churn.run: " ^ msg));
-  let matrix =
-    List.concat_map
-      (fun regime -> List.map (fun seed -> (regime, seed)) cfg.seeds)
-      cfg.regimes
-  in
-  let matrix = List.mapi (fun index (r, s) -> (index, r, s)) matrix in
-  let cells =
-    if jobs <= 1 then
-      List.map
-        (fun (index, regime, seed) -> run_cell cfg ~index regime ~seed ~on_event)
-        matrix
-    else
-      Exsel_sim.Pool.map ~jobs
-        (fun (index, regime, seed) -> run_cell cfg ~index regime ~seed ~on_event)
-        matrix
-  in
-  let violations =
-    List.fold_left (fun acc c -> acc + List.length c.c_violations) 0 cells
-  in
-  let merged = Metrics.create () in
-  Metrics.inc (Metrics.counter merged "exsel_service_cells") (List.length cells);
-  List.iter (fun c -> Metrics.merge ~into:merged c.c_metrics) cells;
-  { r_config = cfg; r_cells = cells; r_violations = violations; r_metrics = merged }
+let load cfg regime =
+  {
+    Drive.id = regime_id regime;
+    salt = regime_salt regime;
+    plan = plan cfg regime;
+  }
+
+let run ?jobs ?on_event cfg =
+  Result.iter_error (fun m -> invalid_arg ("Churn.run: " ^ m)) (validate cfg);
+  Drive.run ?jobs ?on_event spec cfg.service
+    (List.map (load cfg) cfg.regimes)
+    cfg
 
 let shard_traces cfg regime ~seed =
-  match cfg.backend with
-  | Native _ ->
-      invalid_arg "Churn.shard_traces: traces are commit-clock (sim only)"
-  | Sim -> snd (run_cell_sim cfg regime ~seed ~capture_traces:true)
+  Drive.shard_traces spec cfg.service (load cfg regime) ~seed
 
 (* ------------------------------------------------------------------ *)
-(* exsel-service/1                                                     *)
+(* exsel-service/1 and exsel-events/1                                  *)
 (* ------------------------------------------------------------------ *)
 
-let shard_summary_json s =
+let ints l = Json.List (List.map (fun i -> Json.Int i) l)
+
+let shard_summary_json (s : Drive.shard_summary) =
   Json.Obj
     [
       ("shard", Json.Int s.ss_shard);
@@ -951,10 +186,10 @@ let shard_summary_json s =
       ("occupancy_max", Json.Int s.ss_occupancy_max);
     ]
 
-let cell_json c =
+let cell_json (c : Drive.cell) =
   Json.Obj
     [
-      ("regime", Json.String c.c_regime);
+      ("regime", Json.String c.c_load);
       ("seed", Json.Int c.c_seed);
       ("ok", Json.Bool (c.c_violations = []));
       ("rounds", Json.Int c.c_rounds);
@@ -973,73 +208,71 @@ let cell_json c =
         Json.List (List.map (fun v -> Json.String v) c.c_violations) );
     ]
 
-let to_json r =
-  let cfg = r.r_config in
+let adversary_json (svc : Drive.config) =
+  match svc.adversary with
+  | Some expr -> [ ("adversary", Json.String (Dsl.to_string expr)) ]
+  | None -> []
+
+let to_json (r : config Drive.report) =
+  let cfg = r.r_config and svc = r.r_config.service in
   Json.Obj
     ([
        ("schema", Json.String "exsel-service/1");
-       ("backend", Json.String (backend_name cfg.backend));
+       ("backend", Json.String (Drive.backend_name svc.backend));
      ]
-    @ (match cfg.backend with
+    @ (match svc.backend with
       | Native { domains } -> [ ("domains", Json.Int domains) ]
       | Sim -> [])
     @ [
-        ("shards", Json.Int cfg.shards);
-        ("cap", Json.Int cfg.cap);
+        ("shards", Json.Int svc.shards);
+        ("cap", Json.Int svc.cap);
         ("sessions", Json.Int cfg.sessions);
-        ("rounds", Json.Int cfg.rounds);
-        ("entry", Json.String (Core.entry_algo_to_string cfg.entry));
-        ("stride", Json.Int (Core.width_for cfg.entry ~cap:cfg.cap));
-        ("seeds", Json.List (List.map (fun s -> Json.Int s) cfg.seeds));
+        ("rounds", Json.Int svc.rounds);
+        ("entry", Json.String (Core.entry_algo_to_string svc.entry));
+        ("stride", Json.Int (Core.width_for svc.entry ~cap:svc.cap));
+        ("seeds", ints svc.seeds);
       ]
-    @ (match cfg.adversary with
-      | Some expr -> [ ("adversary", Json.String (Dsl.to_string expr)) ]
-      | None -> [])
+    @ adversary_json svc
     @ [
         ("cells", Json.List (List.map cell_json r.r_cells));
         ("violations", Json.Int r.r_violations);
         ("metrics", Metrics.to_json r.r_metrics);
       ])
 
-(* ------------------------------------------------------------------ *)
-(* exsel-events/1                                                      *)
-(* ------------------------------------------------------------------ *)
-
 let start_event cfg =
+  let svc = cfg.service in
   Json.Obj
     ([
-      ("schema", Json.String "exsel-events/1");
-      ("event", Json.String "start");
-      ("kind", Json.String "service");
-      ("backend", Json.String (backend_name cfg.backend));
-      ( "regimes",
-        Json.List (List.map (fun r -> Json.String (regime_id r)) cfg.regimes) );
-      ("seeds", Json.List (List.map (fun s -> Json.Int s) cfg.seeds));
-      ("shards", Json.Int cfg.shards);
-      ("cap", Json.Int cfg.cap);
-      ("sessions", Json.Int cfg.sessions);
-      ("rounds", Json.Int cfg.rounds);
-    ]
-    @ (match cfg.adversary with
-      | Some expr -> [ ("adversary", Json.String (Dsl.to_string expr)) ]
-      | None -> [])
-    @ [ ("cells", Json.Int (List.length cfg.regimes * List.length cfg.seeds)) ])
+       ("schema", Json.String "exsel-events/1");
+       ("event", Json.String "start");
+       ("kind", Json.String "service");
+       ("backend", Json.String (Drive.backend_name svc.backend));
+       ( "regimes",
+         Json.List (List.map (fun r -> Json.String (regime_id r)) cfg.regimes) );
+       ("seeds", ints svc.seeds);
+       ("shards", Json.Int svc.shards);
+       ("cap", Json.Int svc.cap);
+       ("sessions", Json.Int cfg.sessions);
+       ("rounds", Json.Int svc.rounds);
+     ]
+    @ adversary_json svc
+    @ [ ("cells", Json.Int (List.length cfg.regimes * List.length svc.seeds)) ])
 
 let event_json = function
-  | Cell_started { index; regime; seed } ->
+  | Drive.Cell_started { index; load; seed } ->
       Json.Obj
         [
           ("event", Json.String "cell_started");
           ("cell", Json.Int index);
-          ("regime", Json.String regime);
+          ("regime", Json.String load);
           ("seed", Json.Int seed);
         ]
-  | Cell_finished { index; cell = c } ->
+  | Drive.Cell_finished { index; cell = c } ->
       Json.Obj
         [
           ("event", Json.String "cell_finished");
           ("cell", Json.Int index);
-          ("regime", Json.String c.c_regime);
+          ("regime", Json.String c.c_load);
           ("seed", Json.Int c.c_seed);
           ("ok", Json.Bool (c.c_violations = []));
           ("acquires", Json.Int c.c_acquires);
@@ -1050,39 +283,21 @@ let event_json = function
           ("quantiles", Metrics.quantiles_json c.c_metrics);
         ]
 
-let done_event r =
-  Json.Obj
-    [
-      ("event", Json.String "done");
-      ("cells", Json.Int (List.length r.r_cells));
-      ("violations", Json.Int r.r_violations);
-      ("metrics", Metrics.summary_json r.r_metrics);
-    ]
-
-let pp_summary ppf r =
-  let cfg = r.r_config in
+let pp_summary ppf (r : config Drive.report) =
+  let cfg = r.r_config and svc = r.r_config.service in
   Format.fprintf ppf
     "service: backend=%s shards=%d cap=%d sessions=%d rounds=%d entry=%s%s@."
-    (backend_name cfg.backend) cfg.shards cfg.cap cfg.sessions cfg.rounds
-    (Core.entry_algo_to_string cfg.entry)
-    (match cfg.adversary with
+    (Drive.backend_name svc.backend)
+    svc.shards svc.cap cfg.sessions svc.rounds
+    (Core.entry_algo_to_string svc.entry)
+    (match svc.adversary with
     | Some e -> " adversary=" ^ Dsl.to_string e
     | None -> "");
-  List.iter
-    (fun c ->
-      if c.c_violations = [] then
-        Format.fprintf ppf
-          "  ok    %-13s seed=%-3d acquires=%-4d releases=%-4d crashes=%-3d \
-           spills=%-3d recycles=%-2d max-name=%d@."
-          c.c_regime c.c_seed c.c_acquires c.c_releases c.c_crashes c.c_spills
-          c.c_recycles c.c_max_name
-      else begin
-        Format.fprintf ppf "  FAIL  %-13s seed=%-3d (%d violations)@."
-          c.c_regime c.c_seed
-          (List.length c.c_violations);
-        List.iter (fun v -> Format.fprintf ppf "        %s@." v) c.c_violations
-      end)
-    r.r_cells;
-  Format.fprintf ppf "  %d violation%s in %d cells@." r.r_violations
-    (if r.r_violations = 1 then "" else "s")
-    (List.length r.r_cells)
+  Drive.pp_cells ~width:13
+    (fun ppf (c : Drive.cell) ->
+      Format.fprintf ppf
+        "  ok    %-13s seed=%-3d acquires=%-4d releases=%-4d crashes=%-3d \
+         spills=%-3d recycles=%-2d max-name=%d@."
+        c.c_load c.c_seed c.c_acquires c.c_releases c.c_crashes c.c_spills
+        c.c_recycles c.c_max_name)
+    ppf r

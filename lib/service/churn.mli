@@ -1,25 +1,13 @@
 (** Churn campaigns for the sharded long-lived renaming service.
 
-    A campaign is a (regime × seed) matrix of independent {e cells},
-    each driving a fresh service instance — router, per-shard cores,
-    per-shard runtimes (sim) or a per-round engine (native) — through
-    [rounds] rounds of seeded arrivals, departures, crashes and
-    acquire/release traffic, with the long-lived claims checked at every
-    round's quiescence:
-
-    - {e exclusive holds across generations}: live leases never collide
-      on a (shard, name), and no (shard, name, generation) triple is
-      issued twice — across releases, recycles and shard incarnations;
-    - {e adaptive bound in point contention}: every acquired local name
-      is below [2·k̂ − 1] for a harness-computed upper bound [k̂] on the
-      acquire's point contention;
-    - {e no name leaked after release}: a released slot publishes
-      nothing at quiescence, and a crash-pinned name is still published.
-
-    Cells own private {!Exsel_obs.Metrics} registries merged in matrix
-    order, and events carry no wall-clock data on the simulator, so
-    [run ~jobs] output is byte-identical to [-j 1] (EXPERIMENTS.md,
-    "A service under churn"). *)
+    A {e closed-loop} load over {!Drive}: each round the regime decides
+    departures, crashes and releases for the live sessions, then tops
+    the service back up to [sessions] arrivals, so offered load tracks
+    completion.  {!Drive} runs the (regime × seed) matrix, executes each
+    round on either backend and checks every service claim at round
+    quiescence.  Regime streams are {!Exsel_sim.Rng.create} (V1) streams,
+    kept bit-identical to the historical reports (EXPERIMENTS.md, "A
+    service under churn"). *)
 
 (** {2 Regimes} *)
 
@@ -36,101 +24,40 @@ val regime_ids : unit -> string list
 
 (** {2 Configuration} *)
 
-type backend = Sim | Native of { domains : int }
-
-val backend_name : backend -> string
-
 type config = {
-  shards : int;
-  cap : int;  (** per-shard session capacity and entry slots *)
+  service : Drive.config;
   sessions : int;  (** service-wide target of concurrent sessions *)
-  rounds : int;
-  entry : Core.entry_algo;
   regimes : regime list;
-  seeds : int list;
-  backend : backend;
-  max_commits : int;  (** per-round liveness budget (sim) *)
-  adversary : Exsel_adversary.Dsl.expr option;
-      (** sim-only within-shard commit scheduler: each commit still picks
-          a shard by the historical uniform runnable-weighted draw, then
-          the compiled DSL term chooses the process inside it.  Must be
-          {!Exsel_adversary.Dsl.crash_free}.  [None] (the default) keeps
-          the uniform interleave bit-for-bit. *)
 }
 
 val default : config
+(** {!Drive.default}, 6 sessions, every regime. *)
 
 val validate : config -> (unit, string) result
-(** Shape check for CLI-supplied configurations (positive sizes,
-    non-empty regime/seed lists, positive [domains] for native, and —
-    when an adversary term is named — a sim backend and a crash-free
-    term). *)
+(** Positive [sessions], a non-empty regime list, then
+    {!Drive.validate}. *)
 
-(** {2 Results} *)
+(** {2 Campaigns} *)
 
-type shard_summary = {
-  ss_shard : int;
-  ss_epochs : int;  (** core incarnations (recycles + 1) *)
-  ss_admitted : int;  (** admissions in the current incarnation *)
-  ss_held_max : int;
-  ss_occupancy_max : int;
-}
-
-type cell = {
-  c_regime : string;
-  c_seed : int;
-  c_rounds : int;
-  c_joins : int;
-  c_acquires : int;
-  c_releases : int;
-  c_crashes : int;
-  c_spills : int;
-  c_rejects : int;
-  c_recycles : int;
-  c_commits : int;  (** sim: committed register operations; native: 0 *)
-  c_wall_ns : int;  (** native: summed engine wall time; sim: 0 *)
-  c_max_name : int;  (** largest global name issued; [-1] if none *)
-  c_shards : shard_summary list;
-  c_violations : string list;
-  c_metrics : Exsel_obs.Metrics.t;
-}
-
-type report = {
-  r_config : config;
-  r_cells : cell list;  (** matrix order: regimes × seeds *)
-  r_violations : int;
-  r_metrics : Exsel_obs.Metrics.t;  (** cells merged in matrix order *)
-}
-
-type event =
-  | Cell_started of { index : int; regime : string; seed : int }
-  | Cell_finished of { index : int; cell : cell }
-
-val run : ?jobs:int -> ?on_event:(event -> unit) -> config -> report
-(** Run the campaign.  [jobs > 1] shards cells over
-    {!Exsel_sim.Pool.map}; reports and metrics are byte-identical to a
-    sequential run.  [on_event] may fire from worker domains.
+val run :
+  ?jobs:int -> ?on_event:(Drive.event -> unit) -> config -> config Drive.report
+(** Run the campaign ({!Drive.run}).
     @raise Invalid_argument when {!validate} rejects the config. *)
 
 val shard_traces :
   config -> regime -> seed:int -> (int * int * Exsel_sim.Trace.event list) list
-(** Re-run one simulator cell with {!Exsel_sim.Trace} attached to every
-    shard runtime; returns [(shard, commits, events)] per shard — feed
-    the busiest shard's events to {!Exsel_obs.Trace_export.chrome}.
-    @raise Invalid_argument on a native config (traces are
-    commit-clock). *)
+(** {!Drive.shard_traces} for one regime's cell: feed the busiest
+    shard's events to {!Exsel_obs.Trace_export.chrome}. *)
 
 (** {2 Rendering} *)
 
-val cell_json : cell -> Exsel_obs.Json.t
+val cell_json : Drive.cell -> Exsel_obs.Json.t
 
-val to_json : report -> Exsel_obs.Json.t
+val to_json : config Drive.report -> Exsel_obs.Json.t
 (** The [exsel-service/1] document: config echo, per-cell results with
     per-shard occupancy summaries and violations, and the merged
     [exsel-metrics/1] registry under ["metrics"]. *)
 
 val start_event : config -> Exsel_obs.Json.t
-val event_json : event -> Exsel_obs.Json.t
-val done_event : report -> Exsel_obs.Json.t
-
-val pp_summary : Format.formatter -> report -> unit
+val event_json : Drive.event -> Exsel_obs.Json.t
+val pp_summary : Format.formatter -> config Drive.report -> unit

@@ -1,30 +1,20 @@
 (* Open-loop traffic generator: seeded arrival processes against the
-   sharded long-lived service.
+   sharded long-lived service, planned round by round over Drive.
 
-   The cell machinery mirrors lib/service/churn.ml — a (pattern × seed)
-   matrix of independent cells, private metrics registries merged in
-   matrix order, round-based execution with all of a round's operations
-   spawned before any commit — but the load model is open-loop: the
-   arrival process is drawn up front from the pattern alone, never from
-   how many sessions are still in flight.  A full router rejects the
-   arrival (counted, dropped); nothing retries.  That is the defining
-   property of an open-loop generator: offered load is exogenous, so
-   saturation appears as rejects and tail latency, not as a quietly
-   throttled arrival rate.
+   The load model is open-loop: the arrival process is drawn from the
+   pattern alone, never from how many sessions are still in flight.  A
+   full router rejects the arrival (counted, dropped); nothing retries.
+   That is the defining property of an open-loop generator: offered load
+   is exogenous, so saturation appears as rejects and tail latency, not
+   as a quietly throttled arrival rate.
 
    All randomness draws from Rng.create_v2 (rejection-sampled) streams:
-   this subsystem is new in PR 10, so it has no V1 artefacts to
-   preserve. *)
+   this generator never had V1 artefacts to preserve. *)
 
 module Rng = Exsel_sim.Rng
-module Memory = Exsel_sim.Memory
-module Runtime = Exsel_sim.Runtime
-module Trace = Exsel_sim.Trace
 module Json = Exsel_obs.Json
 module Metrics = Exsel_obs.Metrics
-module Engine = Exsel_native.Engine
 module Dsl = Exsel_adversary.Dsl
-module NCore = Core.Native
 
 (* ------------------------------------------------------------------ *)
 (* Patterns                                                            *)
@@ -57,869 +47,235 @@ let pattern_salt = function
 (* ------------------------------------------------------------------ *)
 
 type config = {
-  shards : int;
-  cap : int;
-  entry : Core.entry_algo;
-  rounds : int;
+  service : Drive.config;
   rate : int;
   burst_every : int;
   hold : int;
   patterns : pattern list;
-  seeds : int list;
-  backend : Churn.backend;
-  max_commits : int;
-  adversary : Dsl.expr option;
 }
 
 let default =
   {
-    shards = 2;
-    cap = 4;
-    entry = Core.Efficient;
-    rounds = 8;
+    service = { Drive.default with rounds = 8 };
     rate = 3;
     burst_every = 4;
     hold = 2;
     patterns = all_patterns;
-    seeds = [ 1; 2; 3 ];
-    backend = Churn.Sim;
-    max_commits = 200_000;
-    adversary = None;
   }
 
 let validate cfg =
-  if cfg.shards <= 0 then Error "shards must be positive"
-  else if cfg.cap <= 0 then Error "cap must be positive"
-  else if cfg.rounds <= 0 then Error "rounds must be positive"
-  else if cfg.rate <= 0 then Error "rate must be positive"
+  if cfg.rate <= 0 then Error "rate must be positive"
   else if cfg.burst_every <= 0 then Error "burst-every must be positive"
   else if cfg.hold <= 0 then Error "hold must be positive"
   else if cfg.patterns = [] then Error "at least one arrival pattern required"
-  else if cfg.seeds = [] then Error "at least one seed required"
-  else if cfg.max_commits <= 0 then Error "max-commits must be positive"
-  else
-    match
-      ( cfg.backend,
-        Option.map Dsl.crash_free cfg.adversary,
-        cfg.backend )
-    with
-    | Churn.Native { domains }, _, _ when domains <= 0 ->
-        Error "domains must be positive"
-    | Churn.Native _, Some _, _ ->
-        Error "--adversary schedules simulator commits (sim backend only)"
-    | _, Some false, _ ->
-        Error
-          "adversary term must be crash-free for workload scheduling \
-           (crash decisions would bypass the session ledger)"
-    | _ -> Ok ()
+  else Drive.validate cfg.service
 
 (* ------------------------------------------------------------------ *)
-(* Sessions and operations                                             *)
-(* ------------------------------------------------------------------ *)
-
-type lease = { l_shard : int; l_local : int; l_name : int; l_gen : int }
-
-type phase =
-  | Joining
-  | Idle
-  | Acquiring
-  | Holding of lease * int  (* release at this round *)
-  | Releasing of lease
-  | Departed
-
-type session = {
-  s_client : int;
-  s_shard : int;
-  s_epoch : int;
-  mutable s_slot : int option;
-  mutable s_phase : phase;
-}
-
-type op =
-  | Join of {
-      j_s : session;
-      mutable j_slot : int option;
-      mutable j_t0 : int;
-      mutable j_t1 : int;
-    }
-  | Acq of {
-      a_s : session;
-      a_hold : int;  (* hold duration in rounds, drawn at plan time *)
-      mutable a_lease : (int * int) option;
-      mutable a_t0 : int;
-      mutable a_t1 : int;
-    }
-  | Rel of {
-      r_s : session;
-      r_lease : lease;
-      mutable r_t0 : int;
-      mutable r_t1 : int;
-    }
-
-let op_session = function Join j -> j.j_s | Acq a -> a.a_s | Rel r -> r.r_s
-
-exception Round_stalled of string
-
-(* ------------------------------------------------------------------ *)
-(* Cell state                                                          *)
-(* ------------------------------------------------------------------ *)
-
-type cell = {
-  w_pattern : string;
-  w_seed : int;
-  w_rounds : int;
-  w_arrivals : int;
-  w_admitted : int;
-  w_rejected : int;
-  w_joins : int;
-  w_acquires : int;
-  w_releases : int;
-  w_spills : int;
-  w_recycles : int;
-  w_commits : int;
-  w_wall_ns : int;
-  w_max_name : int;
-  w_violations : string list;
-  w_metrics : Metrics.t;
-}
-
-type ctx = {
-  cfg : config;
-  pattern : pattern;
-  seed : int;
-  rng : Rng.t;
-  router : Router.t;
-  stride : int;
-  mutable sessions : session list;
-  mutable next_client : int;
-  issued : (int * int * int, unit) Hashtbl.t;
-  mutable violations : string list;  (* newest first *)
-  mutable arrivals : int;
-  mutable admitted : int;
-  mutable joins : int;
-  mutable acquires : int;
-  mutable releases : int;
-  mutable max_name : int;
-  occupancy_max : int array;
-  reg : Metrics.t;
-  join_hist : Metrics.histogram;
-  acq_hist : Metrics.histogram;
-  rel_hist : Metrics.histogram;
-}
-
-let violate ctx fmt =
-  Printf.ksprintf (fun m -> ctx.violations <- m :: ctx.violations) fmt
-
-let make_ctx cfg pattern ~seed =
-  let reg = Metrics.create () in
-  let labels =
-    [
-      ("pattern", pattern_id pattern);
-      ("backend", Churn.backend_name cfg.backend);
-    ]
-  in
-  let unit_suffix =
-    match cfg.backend with Churn.Sim -> "commits" | Churn.Native _ -> "ns"
-  in
-  let hist what =
-    Metrics.histogram reg
-      (Printf.sprintf "exsel_workload_%s_latency_%s" what unit_suffix)
-      ~labels
-  in
-  {
-    cfg;
-    pattern;
-    seed;
-    rng = Rng.create_v2 ~seed:((seed * 1_000_003) lxor pattern_salt pattern);
-    router = Router.create ~shards:cfg.shards ~cap:cfg.cap;
-    stride = Core.width_for cfg.entry ~cap:cfg.cap;
-    sessions = [];
-    next_client = 0;
-    issued = Hashtbl.create 64;
-    violations = [];
-    arrivals = 0;
-    admitted = 0;
-    joins = 0;
-    acquires = 0;
-    releases = 0;
-    max_name = -1;
-    occupancy_max = Array.make cfg.shards 0;
-    reg;
-    join_hist = hist "join";
-    acq_hist = hist "acquire";
-    rel_hist = hist "release";
-  }
-
-let fresh_session ctx shard =
-  let client = (6709 * ctx.next_client) + 611_953 in
-  ctx.next_client <- ctx.next_client + 1;
-  let s =
-    {
-      s_client = client;
-      s_shard = shard;
-      s_epoch = Router.epoch ctx.router shard;
-      s_slot = None;
-      s_phase = Joining;
-    }
-  in
-  ctx.sessions <- ctx.sessions @ [ s ];
-  s
-
-(* ------------------------------------------------------------------ *)
-(* Planner (backend-independent)                                       *)
+(* Planner                                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Arrivals this round, from the pattern alone — never from the live
    session count.  Poisson is realised as binomial(4·rate, 1/4): the
    same mean, Poisson in the thinning limit, and integer draws only, so
    counts are identical on every machine (no libm in sight). *)
-let arrivals_for ctx ~round =
-  match ctx.pattern with
-  | Steady -> ctx.cfg.rate
+let arrivals_for cfg pattern rng ~round =
+  match pattern with
+  | Steady -> cfg.rate
   | Poisson ->
       let n = ref 0 in
-      for _ = 1 to 4 * ctx.cfg.rate do
-        if Rng.int ctx.rng 4 = 0 then incr n
+      for _ = 1 to 4 * cfg.rate do
+        if Rng.int rng 4 = 0 then incr n
       done;
       !n
   | Bursty ->
-      if (round - 1) mod ctx.cfg.burst_every = 0 then
-        ctx.cfg.rate * ctx.cfg.burst_every
+      if (round - 1) mod cfg.burst_every = 0 then cfg.rate * cfg.burst_every
       else 0
 
-(* Mean [hold], uniform over [1, 2·hold − 1]. *)
-let hold_draw ctx =
-  if ctx.cfg.hold = 1 then 1 else 1 + Rng.int ctx.rng ((2 * ctx.cfg.hold) - 1)
-
-let plan ctx ~round ~recycle =
-  let ops = ref [] in
-  let add op = ops := op :: !ops in
-  for i = 0 to Router.shards ctx.router - 1 do
-    if Router.needs_recycle ctx.router i then begin
-      recycle i;
-      Router.recycled ctx.router i
-    end
-  done;
+(* Each admitted session joins, acquires the next round, holds for a
+   draw of mean [hold] (uniform over [1, 2·hold − 1], drawn when the
+   acquire is planned), then releases and departs. *)
+let plan cfg pattern ctx ~round =
+  let rng = Drive.rng ctx in
   List.iter
-    (fun s ->
+    (fun (s : Drive.session) ->
       match s.s_phase with
-      | Holding (l, until) when round >= until ->
-          s.s_phase <- Releasing l;
-          add (Rel { r_s = s; r_lease = l; r_t0 = 0; r_t1 = 0 })
+      | Holding (_, until) when round >= until ->
+          Drive.release ctx s ~depart:true
       | Idle ->
-          s.s_phase <- Acquiring;
-          add
-            (Acq
-               {
-                 a_s = s;
-                 a_hold = hold_draw ctx;
-                 a_lease = None;
-                 a_t0 = 0;
-                 a_t1 = 0;
-               })
-      | Holding _ | Joining | Acquiring | Releasing _ | Departed -> ())
-    ctx.sessions;
-  let n = arrivals_for ctx ~round in
-  ctx.arrivals <- ctx.arrivals + n;
-  for _ = 1 to n do
-    match Router.route ctx.router with
-    | None -> () (* open-loop drop; the router counts the reject *)
-    | Some sh ->
-        Router.admit ctx.router sh;
-        ctx.admitted <- ctx.admitted + 1;
-        let s = fresh_session ctx sh in
-        add (Join { j_s = s; j_slot = None; j_t0 = 0; j_t1 = 0 })
-  done;
-  List.rev !ops
-
-(* ------------------------------------------------------------------ *)
-(* Harvest: apply results, check claims (backend-independent)          *)
-(* ------------------------------------------------------------------ *)
-
-let harvest ctx ~round ~holder_view ops =
-  List.iter
-    (fun op ->
-      match op with
-      | Join j -> (
-          ctx.joins <- ctx.joins + 1;
-          Metrics.observe ctx.join_hist (max 0 (j.j_t1 - j.j_t0));
-          match j.j_slot with
-          | Some sl ->
-              j.j_s.s_slot <- Some sl;
-              j.j_s.s_phase <- Idle
-          | None ->
-              violate ctx
-                "entry-overflow: round %d: client %d rejected by shard %d \
-                 entry renamer despite admission" round j.j_s.s_client
-                j.j_s.s_shard;
-              j.j_s.s_phase <- Departed;
-              Router.depart ctx.router j.j_s.s_shard)
-      | Acq a -> (
-          match a.a_lease with
-          | None ->
-              violate ctx
-                "wait-freedom: round %d: client %d acquire returned without a \
-                 lease" round a.a_s.s_client
-          | Some (local, gen) ->
-              let sh = a.a_s.s_shard in
-              let lease =
-                {
-                  l_shard = sh;
-                  l_local = local;
-                  l_name = (sh * ctx.stride) + local;
-                  l_gen = gen;
-                }
-              in
-              a.a_s.s_phase <- Holding (lease, round + a.a_hold);
-              ctx.acquires <- ctx.acquires + 1;
-              ctx.max_name <- max ctx.max_name lease.l_name;
-              Metrics.observe ctx.acq_hist (max 0 (a.a_t1 - a.a_t0));
-              if Hashtbl.mem ctx.issued (sh, local, gen) then
-                violate ctx
-                  "generation-reuse: round %d: shard %d name %d generation %d \
-                   issued twice" round sh local gen
-              else Hashtbl.add ctx.issued (sh, local, gen) ())
-      | Rel r ->
-          ctx.releases <- ctx.releases + 1;
-          Metrics.observe ctx.rel_hist (max 0 (r.r_t1 - r.r_t0));
-          r.r_s.s_phase <- Departed;
-          Router.depart ctx.router r.r_s.s_shard)
-    ops;
-  (* leak check: a departed session's slot publishes nothing at
-     quiescence (current incarnation only, as in Churn.harvest) *)
-  for i = 0 to ctx.cfg.shards - 1 do
-    let view = holder_view i in
-    List.iter
-      (fun s ->
-        if s.s_shard = i && s.s_epoch = Router.epoch ctx.router i then
-          match (s.s_phase, s.s_slot) with
-          | (Idle | Departed), Some sl ->
-              if view.(sl) <> None then
-                violate ctx
-                  "leak: round %d: shard %d slot %d still publishes name %d \
-                   after release" round i sl
-                  (Option.value view.(sl) ~default:(-1))
-          | Holding (l, _), Some sl ->
-              if view.(sl) <> Some l.l_local then
-                violate ctx
-                  "hold-not-published: round %d: shard %d slot %d holds name \
-                   %d but publishes %s" round i sl l.l_local
-                  (match view.(sl) with
-                  | Some x -> string_of_int x
-                  | None -> "nothing")
-          | _ -> ())
-      ctx.sessions
-  done;
-  (* exclusive holds among live leases *)
-  let holds = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      match s.s_phase with
-      | Holding (l, _) -> (
-          match Hashtbl.find_opt holds (l.l_shard, l.l_local) with
-          | Some other ->
-              violate ctx
-                "exclusive-holds: round %d: shard %d name %d held by clients \
-                 %d and %d concurrently" round l.l_shard l.l_local other
-                s.s_client
-          | None -> Hashtbl.add holds (l.l_shard, l.l_local) s.s_client)
-      | _ -> ())
-    ctx.sessions;
-  for i = 0 to ctx.cfg.shards - 1 do
-    ctx.occupancy_max.(i) <-
-      max ctx.occupancy_max.(i) (Router.occupancy ctx.router i)
+          Drive.acquire ctx s
+            ~hold:
+              (if cfg.hold = 1 then 1 else 1 + Rng.int rng ((2 * cfg.hold) - 1))
+      | Holding _ | Joining | Acquiring | Releasing _ | Departed | Crashed _ ->
+          ())
+    (Drive.sessions ctx);
+  for _ = 1 to arrivals_for cfg pattern rng ~round do
+    Drive.arrive ctx
   done
-
-(* ------------------------------------------------------------------ *)
-(* Simulator execution                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type sim_shard = {
-  sim_mem : Memory.t;
-  sim_rt : Runtime.t;
-  mutable sim_core : Core.t;
-  sim_trace : Trace.t option;
-}
-
-let exec_sim ctx shards clock ~round ~drivers ops =
-  List.iter
-    (fun op ->
-      let s = op_session op in
-      let sh = shards.(s.s_shard) in
-      let core = sh.sim_core in
-      let spawn name body = ignore (Runtime.spawn sh.sim_rt ~name body) in
-      match op with
-      | Join j ->
-          j.j_t0 <- !clock;
-          spawn
-            (Printf.sprintf "c%d.join" s.s_client)
-            (fun () ->
-              j.j_slot <- Core.join core ~client:s.s_client;
-              j.j_t1 <- !clock)
-      | Acq a ->
-          let slot = Option.get s.s_slot in
-          a.a_t0 <- !clock;
-          spawn
-            (Printf.sprintf "c%d.acquire" s.s_client)
-            (fun () ->
-              a.a_lease <- Some (Core.acquire core ~slot);
-              a.a_t1 <- !clock)
-      | Rel r ->
-          let slot = Option.get s.s_slot in
-          r.r_t0 <- !clock;
-          spawn
-            (Printf.sprintf "c%d.release" s.s_client)
-            (fun () ->
-              Core.release core ~slot ~name:r.r_lease.l_local;
-              r.r_t1 <- !clock))
-    ops;
-  (* interleave across all shard runtimes, one commit at a time: a
-     uniform runnable-weighted draw picks the shard; the within-shard
-     choice is the same draw's offset, or the compiled adversary's *)
-  let commits_round = ref 0 in
-  let total_runnable () =
-    Array.fold_left (fun acc sh -> acc + Runtime.num_runnable sh.sim_rt) 0 shards
-  in
-  let rec loop () =
-    let total = total_runnable () in
-    if total > 0 then begin
-      if !commits_round >= ctx.cfg.max_commits then
-        raise
-          (Round_stalled
-             (Printf.sprintf
-                "liveness: round %d: %d-commit budget exhausted with %d \
-                 operations still runnable" round ctx.cfg.max_commits total));
-      let pick = ref (Rng.int ctx.rng total) in
-      let si = ref 0 in
-      while !pick >= Runtime.num_runnable shards.(!si).sim_rt do
-        pick := !pick - Runtime.num_runnable shards.(!si).sim_rt;
-        incr si
-      done;
-      let rt = shards.(!si).sim_rt in
-      let p =
-        match drivers with
-        | None -> Runtime.nth_runnable rt !pick
-        | Some ds -> (
-            match ds.(!si) rt with
-            | Some (Dsl.Commit p) -> p
-            | Some (Dsl.Crash _) | None ->
-                (* crash terms are rejected by validate; a relinquishing
-                   adversary falls back to the uniform offset *)
-                Runtime.nth_runnable rt !pick)
-      in
-      Runtime.commit rt p;
-      incr clock;
-      incr commits_round;
-      loop ()
-    end
-  in
-  loop ()
-
-(* ------------------------------------------------------------------ *)
-(* Native execution                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type nat_shard = {
-  nat_mem : Exsel_native.Backend.memory;
-  mutable nat_core : NCore.t;
-}
-
-let ns_to_int ns =
-  if Int64.compare ns 0L < 0 then 0
-  else if Int64.compare ns (Int64.of_int max_int) > 0 then max_int
-  else Int64.to_int ns
-
-let exec_native shards ~domains wall_acc ops =
-  if ops <> [] then begin
-    let engine = Engine.create () in
-    List.iter
-      (fun op ->
-        let s = op_session op in
-        let core = shards.(s.s_shard).nat_core in
-        match op with
-        | Join j ->
-            Engine.spawn engine
-              ~name:(Printf.sprintf "c%d.join" s.s_client)
-              (fun () ->
-                let t0 = Monotonic_clock.now () in
-                j.j_slot <- NCore.join core ~client:s.s_client;
-                j.j_t1 <- ns_to_int (Int64.sub (Monotonic_clock.now ()) t0))
-        | Acq a ->
-            let slot = Option.get s.s_slot in
-            Engine.spawn engine
-              ~name:(Printf.sprintf "c%d.acquire" s.s_client)
-              (fun () ->
-                let t0 = Monotonic_clock.now () in
-                a.a_lease <- Some (NCore.acquire core ~slot);
-                a.a_t1 <- ns_to_int (Int64.sub (Monotonic_clock.now ()) t0))
-        | Rel r ->
-            let slot = Option.get s.s_slot in
-            Engine.spawn engine
-              ~name:(Printf.sprintf "c%d.release" s.s_client)
-              (fun () ->
-                let t0 = Monotonic_clock.now () in
-                NCore.release core ~slot ~name:r.r_lease.l_local;
-                r.r_t1 <- ns_to_int (Int64.sub (Monotonic_clock.now ()) t0)))
-      ops;
-    Engine.run engine ~domains;
-    match Engine.telemetry engine with
-    | Some tl -> wall_acc := !wall_acc + ns_to_int (Engine.wall_ns tl)
-    | None -> ()
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Cells                                                               *)
-(* ------------------------------------------------------------------ *)
-
-type event =
-  | Cell_started of { index : int; pattern : string; seed : int }
-  | Cell_finished of { index : int; cell : cell }
-
-let core_rng ~seed ~shard ~epoch =
-  Rng.create_v2 ~seed:((seed * 89) + shard + (1000 * epoch))
-
-let finish_cell ctx ~rounds_done ~commits ~wall_ns =
-  let labels =
-    [
-      ("pattern", pattern_id ctx.pattern);
-      ("backend", Churn.backend_name ctx.cfg.backend);
-    ]
-  in
-  let c name v = Metrics.inc (Metrics.counter ctx.reg name ~labels) v in
-  c "exsel_workload_arrivals" ctx.arrivals;
-  c "exsel_workload_admitted" ctx.admitted;
-  c "exsel_workload_rejected" (Router.rejects ctx.router);
-  c "exsel_workload_joins" ctx.joins;
-  c "exsel_workload_acquires" ctx.acquires;
-  c "exsel_workload_releases" ctx.releases;
-  c "exsel_workload_violations" (List.length ctx.violations);
-  for i = 0 to ctx.cfg.shards - 1 do
-    let labels = ("shard", string_of_int i) :: labels in
-    Metrics.max_gauge
-      (Metrics.gauge ctx.reg "exsel_workload_occupancy" ~labels)
-      ctx.occupancy_max.(i)
-  done;
-  {
-    w_pattern = pattern_id ctx.pattern;
-    w_seed = ctx.seed;
-    w_rounds = rounds_done;
-    w_arrivals = ctx.arrivals;
-    w_admitted = ctx.admitted;
-    w_rejected = Router.rejects ctx.router;
-    w_joins = ctx.joins;
-    w_acquires = ctx.acquires;
-    w_releases = ctx.releases;
-    w_spills = Router.spills ctx.router;
-    w_recycles = Router.recycles ctx.router;
-    w_commits = commits;
-    w_wall_ns = wall_ns;
-    w_max_name = ctx.max_name;
-    w_violations = List.rev ctx.violations;
-    w_metrics = ctx.reg;
-  }
-
-let compile_drivers cfg pattern ~seed =
-  Option.map
-    (fun expr ->
-      Array.init cfg.shards (fun shard ->
-          Dsl.compile expr
-            ~seed:(((seed * 1_000_003) lxor pattern_salt pattern) + (7919 * shard))
-            ~k:cfg.cap))
-    cfg.adversary
-
-let run_cell_sim cfg pattern ~seed ~capture_traces =
-  let ctx = make_ctx cfg pattern ~seed in
-  let shards =
-    Array.init cfg.shards (fun i ->
-        let mem = Memory.create () in
-        let rt = Runtime.create mem in
-        let core =
-          Core.create ~algo:cfg.entry
-            ~rng:(core_rng ~seed ~shard:i ~epoch:0)
-            mem
-            ~name:(Printf.sprintf "shard%d" i)
-            ~cap:cfg.cap
-        in
-        let trace = if capture_traces then Some (Trace.attach rt) else None in
-        { sim_mem = mem; sim_rt = rt; sim_core = core; sim_trace = trace })
-  in
-  let recycle i =
-    let sh = shards.(i) in
-    let epoch = Router.epoch ctx.router i + 1 in
-    sh.sim_core <-
-      Core.create ~algo:cfg.entry
-        ~gen0:(Core.generations sh.sim_core)
-        ~rng:(core_rng ~seed ~shard:i ~epoch)
-        sh.sim_mem
-        ~name:(Printf.sprintf "shard%d.e%d" i epoch)
-        ~cap:cfg.cap
-  in
-  let drivers = compile_drivers cfg pattern ~seed in
-  let clock = ref 0 in
-  let rounds_done = ref 0 in
-  (try
-     for round = 1 to cfg.rounds do
-       let ops = plan ctx ~round ~recycle in
-       exec_sim ctx shards clock ~round ~drivers ops;
-       harvest ctx ~round
-         ~holder_view:(fun i -> Core.holder_view shards.(i).sim_core)
-         ops;
-       incr rounds_done
-     done
-   with Round_stalled msg -> ctx.violations <- msg :: ctx.violations);
-  let cell = finish_cell ctx ~rounds_done:!rounds_done ~commits:!clock ~wall_ns:0 in
-  let traces =
-    if capture_traces then
-      Array.to_list
-        (Array.mapi
-           (fun i sh ->
-             ( i,
-               Runtime.commits sh.sim_rt,
-               match sh.sim_trace with Some t -> Trace.events t | None -> [] ))
-           shards)
-    else []
-  in
-  (cell, traces)
-
-let run_cell_native cfg pattern ~seed ~domains =
-  let ctx = make_ctx cfg pattern ~seed in
-  let shards =
-    Array.init cfg.shards (fun i ->
-        let mem = Exsel_native.Backend.create () in
-        let core =
-          NCore.create ~algo:cfg.entry
-            ~rng:(core_rng ~seed ~shard:i ~epoch:0)
-            mem
-            ~name:(Printf.sprintf "shard%d" i)
-            ~cap:cfg.cap
-        in
-        { nat_mem = mem; nat_core = core })
-  in
-  let recycle i =
-    let sh = shards.(i) in
-    let epoch = Router.epoch ctx.router i + 1 in
-    sh.nat_core <-
-      NCore.create ~algo:cfg.entry
-        ~gen0:(NCore.generations sh.nat_core)
-        ~rng:(core_rng ~seed ~shard:i ~epoch)
-        sh.nat_mem
-        ~name:(Printf.sprintf "shard%d.e%d" i epoch)
-        ~cap:cfg.cap
-  in
-  let wall = ref 0 in
-  let rounds_done = ref 0 in
-  for round = 1 to cfg.rounds do
-    let ops = plan ctx ~round ~recycle in
-    exec_native shards ~domains wall ops;
-    harvest ctx ~round
-      ~holder_view:(fun i -> NCore.holder_view shards.(i).nat_core)
-      ops;
-    incr rounds_done
-  done;
-  finish_cell ctx ~rounds_done:!rounds_done ~commits:0 ~wall_ns:!wall
-
-let run_cell cfg ~index pattern ~seed ~on_event =
-  on_event (Cell_started { index; pattern = pattern_id pattern; seed });
-  let cell =
-    match cfg.backend with
-    | Churn.Sim -> fst (run_cell_sim cfg pattern ~seed ~capture_traces:false)
-    | Churn.Native { domains } -> run_cell_native cfg pattern ~seed ~domains
-  in
-  on_event (Cell_finished { index; cell });
-  cell
 
 (* ------------------------------------------------------------------ *)
 (* Campaign                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type report = {
-  wr_config : config;
-  wr_cells : cell list;
-  wr_violations : int;
-  wr_metrics : Metrics.t;
-}
-
-let run ?(jobs = 1) ?(on_event = fun (_ : event) -> ()) cfg =
-  (match validate cfg with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Workload.run: " ^ msg));
-  let matrix =
-    List.concat_map
-      (fun pattern -> List.map (fun seed -> (pattern, seed)) cfg.seeds)
-      cfg.patterns
-  in
-  let matrix = List.mapi (fun index (p, s) -> (index, p, s)) matrix in
-  let cells =
-    if jobs <= 1 then
-      List.map
-        (fun (index, pattern, seed) ->
-          run_cell cfg ~index pattern ~seed ~on_event)
-        matrix
-    else
-      Exsel_sim.Pool.map ~jobs
-        (fun (index, pattern, seed) ->
-          run_cell cfg ~index pattern ~seed ~on_event)
-        matrix
-  in
-  let violations =
-    List.fold_left (fun acc c -> acc + List.length c.w_violations) 0 cells
-  in
-  let merged = Metrics.create () in
-  Metrics.inc (Metrics.counter merged "exsel_workload_cells") (List.length cells);
-  List.iter (fun c -> Metrics.merge ~into:merged c.w_metrics) cells;
+let spec =
   {
-    wr_config = cfg;
-    wr_cells = cells;
-    wr_violations = violations;
-    wr_metrics = merged;
+    Drive.name = "Workload";
+    label = "pattern";
+    rng_of_seed = Rng.create_v2;
+    core_seed = 89;
+    client = (fun n -> (6709 * n) + 611_953);
+    latency_prefix = "exsel_workload_";
+    join_latency = true;
+    counters =
+      Drive.
+        [
+          ("exsel_workload_arrivals", fun c -> c.c_arrivals);
+          ("exsel_workload_admitted", fun c -> c.c_admitted);
+          ("exsel_workload_rejected", fun c -> c.c_rejects);
+          ("exsel_workload_joins", fun c -> c.c_joins);
+          ("exsel_workload_acquires", fun c -> c.c_acquires);
+          ("exsel_workload_releases", fun c -> c.c_releases);
+          ("exsel_workload_violations", fun c -> List.length c.c_violations);
+        ];
+    gauges =
+      Drive.[ ("exsel_workload_occupancy", fun s -> s.ss_occupancy_max) ];
+    cells_counter = "exsel_workload_cells";
   }
 
+let load cfg pattern =
+  {
+    Drive.id = pattern_id pattern;
+    salt = pattern_salt pattern;
+    plan = plan cfg pattern;
+  }
+
+let run ?jobs ?on_event cfg =
+  Result.iter_error (fun m -> invalid_arg ("Workload.run: " ^ m)) (validate cfg);
+  Drive.run ?jobs ?on_event spec cfg.service
+    (List.map (load cfg) cfg.patterns)
+    cfg
+
 let shard_traces cfg pattern ~seed =
-  match cfg.backend with
-  | Churn.Native _ ->
-      invalid_arg "Workload.shard_traces: traces are commit-clock (sim only)"
-  | Churn.Sim -> snd (run_cell_sim cfg pattern ~seed ~capture_traces:true)
+  Drive.shard_traces spec cfg.service (load cfg pattern) ~seed
 
 (* ------------------------------------------------------------------ *)
-(* exsel-workload/1                                                    *)
+(* exsel-workload/1 and exsel-events/1                                 *)
 (* ------------------------------------------------------------------ *)
 
-let cell_json c =
+let ids cfg =
+  Json.List (List.map (fun p -> Json.String (pattern_id p)) cfg.patterns)
+
+let ints l = Json.List (List.map (fun i -> Json.Int i) l)
+
+let cell_json (c : Drive.cell) =
   Json.Obj
     [
-      ("pattern", Json.String c.w_pattern);
-      ("seed", Json.Int c.w_seed);
-      ("ok", Json.Bool (c.w_violations = []));
-      ("rounds", Json.Int c.w_rounds);
-      ("arrivals", Json.Int c.w_arrivals);
-      ("admitted", Json.Int c.w_admitted);
-      ("rejected", Json.Int c.w_rejected);
-      ("joins", Json.Int c.w_joins);
-      ("acquires", Json.Int c.w_acquires);
-      ("releases", Json.Int c.w_releases);
-      ("spills", Json.Int c.w_spills);
-      ("recycles", Json.Int c.w_recycles);
-      ("commits", Json.Int c.w_commits);
-      ("wall_ns", Json.Int c.w_wall_ns);
-      ("max_name", Json.Int c.w_max_name);
+      ("pattern", Json.String c.c_load);
+      ("seed", Json.Int c.c_seed);
+      ("ok", Json.Bool (c.c_violations = []));
+      ("rounds", Json.Int c.c_rounds);
+      ("arrivals", Json.Int c.c_arrivals);
+      ("admitted", Json.Int c.c_admitted);
+      ("rejected", Json.Int c.c_rejects);
+      ("joins", Json.Int c.c_joins);
+      ("acquires", Json.Int c.c_acquires);
+      ("releases", Json.Int c.c_releases);
+      ("spills", Json.Int c.c_spills);
+      ("recycles", Json.Int c.c_recycles);
+      ("commits", Json.Int c.c_commits);
+      ("wall_ns", Json.Int c.c_wall_ns);
+      ("max_name", Json.Int c.c_max_name);
       ( "violations",
-        Json.List (List.map (fun v -> Json.String v) c.w_violations) );
+        Json.List (List.map (fun v -> Json.String v) c.c_violations) );
     ]
 
-let to_json r =
-  let cfg = r.wr_config in
+let to_json (r : config Drive.report) =
+  let cfg = r.r_config and svc = r.r_config.service in
   Json.Obj
     ([
        ("schema", Json.String "exsel-workload/1");
-       ("backend", Json.String (Churn.backend_name cfg.backend));
+       ("backend", Json.String (Drive.backend_name svc.backend));
      ]
-    @ (match cfg.backend with
-      | Churn.Native { domains } -> [ ("domains", Json.Int domains) ]
-      | Churn.Sim -> [])
+    @ (match svc.backend with
+      | Native { domains } -> [ ("domains", Json.Int domains) ]
+      | Sim -> [])
     @ [
-        ("shards", Json.Int cfg.shards);
-        ("cap", Json.Int cfg.cap);
-        ("rounds", Json.Int cfg.rounds);
+        ("shards", Json.Int svc.shards);
+        ("cap", Json.Int svc.cap);
+        ("rounds", Json.Int svc.rounds);
         ("rate", Json.Int cfg.rate);
         ("burst_every", Json.Int cfg.burst_every);
         ("hold", Json.Int cfg.hold);
-        ("entry", Json.String (Core.entry_algo_to_string cfg.entry));
-        ("stride", Json.Int (Core.width_for cfg.entry ~cap:cfg.cap));
-        ( "patterns",
-          Json.List
-            (List.map (fun p -> Json.String (pattern_id p)) cfg.patterns) );
-        ("seeds", Json.List (List.map (fun s -> Json.Int s) cfg.seeds));
+        ("entry", Json.String (Core.entry_algo_to_string svc.entry));
+        ("stride", Json.Int (Core.width_for svc.entry ~cap:svc.cap));
+        ("patterns", ids cfg);
+        ("seeds", ints svc.seeds);
       ]
-    @ (match cfg.adversary with
+    @ (match svc.adversary with
       | Some expr -> [ ("adversary", Json.String (Dsl.to_string expr)) ]
       | None -> [])
     @ [
-        ("cells", Json.List (List.map cell_json r.wr_cells));
-        ("violations", Json.Int r.wr_violations);
-        ("metrics", Metrics.to_json r.wr_metrics);
+        ("cells", Json.List (List.map cell_json r.r_cells));
+        ("violations", Json.Int r.r_violations);
+        ("metrics", Metrics.to_json r.r_metrics);
       ])
 
-(* ------------------------------------------------------------------ *)
-(* exsel-events/1                                                      *)
-(* ------------------------------------------------------------------ *)
-
 let start_event cfg =
+  let svc = cfg.service in
   Json.Obj
     [
       ("schema", Json.String "exsel-events/1");
       ("event", Json.String "start");
       ("kind", Json.String "workload");
-      ("backend", Json.String (Churn.backend_name cfg.backend));
-      ( "patterns",
-        Json.List (List.map (fun p -> Json.String (pattern_id p)) cfg.patterns)
-      );
-      ("seeds", Json.List (List.map (fun s -> Json.Int s) cfg.seeds));
-      ("shards", Json.Int cfg.shards);
-      ("cap", Json.Int cfg.cap);
-      ("rounds", Json.Int cfg.rounds);
+      ("backend", Json.String (Drive.backend_name svc.backend));
+      ("patterns", ids cfg);
+      ("seeds", ints svc.seeds);
+      ("shards", Json.Int svc.shards);
+      ("cap", Json.Int svc.cap);
+      ("rounds", Json.Int svc.rounds);
       ("rate", Json.Int cfg.rate);
-      ("cells", Json.Int (List.length cfg.patterns * List.length cfg.seeds));
+      ("cells", Json.Int (List.length cfg.patterns * List.length svc.seeds));
     ]
 
 let event_json = function
-  | Cell_started { index; pattern; seed } ->
+  | Drive.Cell_started { index; load; seed } ->
       Json.Obj
         [
           ("event", Json.String "cell_started");
           ("cell", Json.Int index);
-          ("pattern", Json.String pattern);
+          ("pattern", Json.String load);
           ("seed", Json.Int seed);
         ]
-  | Cell_finished { index; cell = c } ->
+  | Drive.Cell_finished { index; cell = c } ->
       Json.Obj
         [
           ("event", Json.String "cell_finished");
           ("cell", Json.Int index);
-          ("pattern", Json.String c.w_pattern);
-          ("seed", Json.Int c.w_seed);
-          ("ok", Json.Bool (c.w_violations = []));
-          ("arrivals", Json.Int c.w_arrivals);
-          ("rejected", Json.Int c.w_rejected);
-          ("acquires", Json.Int c.w_acquires);
-          ("releases", Json.Int c.w_releases);
-          ("max_name", Json.Int c.w_max_name);
-          ("quantiles", Metrics.quantiles_json c.w_metrics);
+          ("pattern", Json.String c.c_load);
+          ("seed", Json.Int c.c_seed);
+          ("ok", Json.Bool (c.c_violations = []));
+          ("arrivals", Json.Int c.c_arrivals);
+          ("rejected", Json.Int c.c_rejects);
+          ("acquires", Json.Int c.c_acquires);
+          ("releases", Json.Int c.c_releases);
+          ("max_name", Json.Int c.c_max_name);
+          ("quantiles", Metrics.quantiles_json c.c_metrics);
         ]
 
-let done_event r =
-  Json.Obj
-    [
-      ("event", Json.String "done");
-      ("cells", Json.Int (List.length r.wr_cells));
-      ("violations", Json.Int r.wr_violations);
-      ("metrics", Metrics.summary_json r.wr_metrics);
-    ]
-
-let pp_summary ppf r =
-  let cfg = r.wr_config in
+let pp_summary ppf (r : config Drive.report) =
+  let cfg = r.r_config and svc = r.r_config.service in
   Format.fprintf ppf
     "workload: backend=%s shards=%d cap=%d rounds=%d rate=%d hold=%d entry=%s%s@."
-    (Churn.backend_name cfg.backend)
-    cfg.shards cfg.cap cfg.rounds cfg.rate cfg.hold
-    (Core.entry_algo_to_string cfg.entry)
-    (match cfg.adversary with
+    (Drive.backend_name svc.backend)
+    svc.shards svc.cap svc.rounds cfg.rate cfg.hold
+    (Core.entry_algo_to_string svc.entry)
+    (match svc.adversary with
     | Some e -> " adversary=" ^ Dsl.to_string e
     | None -> "");
-  List.iter
-    (fun c ->
-      if c.w_violations = [] then
-        Format.fprintf ppf
-          "  ok    %-8s seed=%-3d arrivals=%-4d admitted=%-4d rejected=%-4d \
-           acquires=%-4d releases=%-4d max-name=%d@."
-          c.w_pattern c.w_seed c.w_arrivals c.w_admitted c.w_rejected
-          c.w_acquires c.w_releases c.w_max_name
-      else begin
-        Format.fprintf ppf "  FAIL  %-8s seed=%-3d (%d violations)@."
-          c.w_pattern c.w_seed
-          (List.length c.w_violations);
-        List.iter (fun v -> Format.fprintf ppf "        %s@." v) c.w_violations
-      end)
-    r.wr_cells;
-  Format.fprintf ppf "  %d violation%s in %d cells@." r.wr_violations
-    (if r.wr_violations = 1 then "" else "s")
-    (List.length r.wr_cells)
+  Drive.pp_cells ~width:8
+    (fun ppf (c : Drive.cell) ->
+      Format.fprintf ppf
+        "  ok    %-8s seed=%-3d arrivals=%-4d admitted=%-4d rejected=%-4d \
+         acquires=%-4d releases=%-4d max-name=%d@."
+        c.c_load c.c_seed c.c_arrivals c.c_admitted c.c_rejects c.c_acquires
+        c.c_releases c.c_max_name)
+    ppf r

@@ -1,11 +1,12 @@
 (** Open-loop traffic generator for the long-lived renaming service.
 
     Where {!Churn} is {e closed-loop} — each round tops sessions back up
-    to a target, so offered load tracks completion — this module drives
-    {e open-loop} traffic: a seeded arrival process decides how many
-    acquire/release sessions arrive each round {e regardless} of how many
-    are still in flight, so overload shows up as router rejections and
-    tail latency instead of back-pressure.  Three arrival patterns ship:
+    to a target, so offered load tracks completion — this load drives
+    {e open-loop} traffic over {!Drive}: a seeded arrival process decides
+    how many acquire/release sessions arrive each round {e regardless}
+    of how many are still in flight, so overload shows up as router
+    rejections and tail latency instead of back-pressure.  Three arrival
+    patterns ship:
 
     - [steady] — exactly [rate] arrivals per round;
     - [poisson] — Poisson-distributed arrivals of mean [rate] per round
@@ -18,22 +19,11 @@
     Each admitted session joins its shard, acquires a name the next
     round, holds it for a seeded number of rounds (mean [hold]), then
     releases and departs.  Latencies are measured per operation — in
-    {e commit-clock} on the simulator (the shared commit counter across
-    all shard runtimes) and {e wall-clock nanoseconds} on the native
-    backend — into `exsel_workload_{join,acquire,release}_latency_*`
-    histograms whose p50/p90/p99/p999 quantiles flow through
-    {!Exsel_obs.Metrics} into the JSON report, OpenMetrics exposition
-    and bench suite P9.
-
-    All arrival/hold draws come from {!Exsel_sim.Rng.create_v2}
-    (rejection-sampled, bias-free) streams; cells own private metrics
-    registries merged in matrix order, so [run ~jobs] output is
-    byte-identical to [-j 1].
-
-    An optional {!Exsel_adversary.Dsl} term (crash-free) replaces the
-    uniform within-shard scheduler on the simulator: each commit still
-    picks a shard by a uniform runnable-weighted draw, then the
-    compiled per-shard adversary chooses the process. *)
+    {e commit-clock} on the simulator and {e wall-clock nanoseconds} on
+    the native backend — into `exsel_workload_{join,acquire,release}_latency_*`
+    histograms whose quantiles flow into the JSON report, OpenMetrics
+    exposition and bench suite P9.  Every draw comes from
+    {!Exsel_sim.Rng.create_v2} (rejection-sampled, bias-free) streams. *)
 
 type pattern = Poisson | Bursty | Steady
 
@@ -43,82 +33,39 @@ val all_patterns : pattern list
 val pattern_ids : unit -> string list
 
 type config = {
-  shards : int;
-  cap : int;  (** per-shard session capacity and entry slots *)
-  entry : Core.entry_algo;
-  rounds : int;
+  service : Drive.config;
   rate : int;  (** mean arrivals per round *)
   burst_every : int;  (** bursty: rounds between bursts *)
   hold : int;  (** mean hold duration in rounds *)
   patterns : pattern list;
-  seeds : int list;
-  backend : Churn.backend;
-  max_commits : int;  (** per-round liveness budget (sim) *)
-  adversary : Exsel_adversary.Dsl.expr option;
-      (** sim-only within-shard scheduler; must be {!Exsel_adversary.Dsl.crash_free} *)
 }
 
 val default : config
+(** {!Drive.default} with 8 rounds; rate 3, bursts every 4 rounds, mean
+    hold 2, every pattern. *)
 
 val validate : config -> (unit, string) result
-(** Shape check for CLI-supplied configurations: positive sizes,
-    non-empty pattern/seed lists, positive native [domains], and a
-    crash-free adversary term (crash decisions would bypass the session
-    ledger). *)
+(** Positive [rate], [burst_every] and [hold], a non-empty pattern list,
+    then {!Drive.validate}. *)
 
-type cell = {
-  w_pattern : string;
-  w_seed : int;
-  w_rounds : int;  (** rounds completed *)
-  w_arrivals : int;  (** offered sessions (admitted + rejected) *)
-  w_admitted : int;
-  w_rejected : int;  (** arrivals dropped open-loop: no shard had room *)
-  w_joins : int;
-  w_acquires : int;
-  w_releases : int;
-  w_spills : int;
-  w_recycles : int;
-  w_commits : int;  (** sim: committed register operations; native: 0 *)
-  w_wall_ns : int;  (** native: summed engine wall time; sim: 0 *)
-  w_max_name : int;  (** largest global name issued; [-1] if none *)
-  w_violations : string list;
-  w_metrics : Exsel_obs.Metrics.t;
-}
-
-type report = {
-  wr_config : config;
-  wr_cells : cell list;  (** matrix order: patterns × seeds *)
-  wr_violations : int;
-  wr_metrics : Exsel_obs.Metrics.t;  (** cells merged in matrix order *)
-}
-
-type event =
-  | Cell_started of { index : int; pattern : string; seed : int }
-  | Cell_finished of { index : int; cell : cell }
-
-val run : ?jobs:int -> ?on_event:(event -> unit) -> config -> report
-(** Run the campaign; [jobs > 1] shards cells over {!Exsel_sim.Pool.map}
-    with byte-identical reports and metrics.
+val run :
+  ?jobs:int -> ?on_event:(Drive.event -> unit) -> config -> config Drive.report
+(** Run the campaign ({!Drive.run}).
     @raise Invalid_argument when {!validate} rejects the config. *)
 
 val shard_traces :
   config -> pattern -> seed:int -> (int * int * Exsel_sim.Trace.event list) list
-(** Re-run one simulator cell with {!Exsel_sim.Trace} attached to every
-    shard runtime; returns [(shard, commits, events)] per shard — feed
-    the busiest shard's events to {!Exsel_obs.Trace_export.chrome} for a
-    Perfetto track of the open-loop execution.
-    @raise Invalid_argument on a native config. *)
+(** {!Drive.shard_traces} for one pattern's cell: a Perfetto track of the
+    open-loop execution. *)
 
 (** {2 Rendering} *)
 
-val cell_json : cell -> Exsel_obs.Json.t
+val cell_json : Drive.cell -> Exsel_obs.Json.t
 
-val to_json : report -> Exsel_obs.Json.t
+val to_json : config Drive.report -> Exsel_obs.Json.t
 (** The [exsel-workload/1] document: config echo, per-cell results, and
     the merged [exsel-metrics/1] registry under ["metrics"]. *)
 
 val start_event : config -> Exsel_obs.Json.t
-val event_json : event -> Exsel_obs.Json.t
-val done_event : report -> Exsel_obs.Json.t
-
-val pp_summary : Format.formatter -> report -> unit
+val event_json : Drive.event -> Exsel_obs.Json.t
+val pp_summary : Format.formatter -> config Drive.report -> unit

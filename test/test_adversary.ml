@@ -15,7 +15,7 @@ module Dsl = Exsel_adversary.Dsl
 module Runner = Exsel_conformance.Runner
 module Regime = Exsel_conformance.Regime
 module Workload = Exsel_service.Workload
-module Churn = Exsel_service.Churn
+module Drive = Exsel_service.Drive
 module Validate = Exsel_testkit.Validate
 
 (* ------------------------------------------------------------------ *)
@@ -479,15 +479,8 @@ let test_pick_weighted_rejects_zero () =
 (* Open-loop workload                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let small_workload =
-  {
-    Workload.default with
-    Workload.shards = 2;
-    cap = 3;
-    rounds = 4;
-    rate = 2;
-    seeds = [ 1 ];
-  }
+let small_service = { Drive.default with shards = 2; cap = 3; rounds = 4; seeds = [ 1 ] }
+let small_workload = { Workload.default with service = small_service; rate = 2 }
 
 let test_workload_deterministic_and_valid () =
   let doc () = Exsel_obs.Json.to_string (Workload.to_json (Workload.run small_workload)) in
@@ -498,7 +491,9 @@ let test_workload_deterministic_and_valid () =
   | Error msg -> Alcotest.failf "workload report invalid: %s" msg
 
 let test_workload_parallel_identical () =
-  let cfg = { small_workload with Workload.seeds = [ 1; 2 ] } in
+  let cfg =
+    { small_workload with service = { small_service with seeds = [ 1; 2 ] } }
+  in
   let seq = Exsel_obs.Json.to_string (Workload.to_json (Workload.run ~jobs:1 cfg)) in
   let par = Exsel_obs.Json.to_string (Workload.to_json (Workload.run ~jobs:2 cfg)) in
   Alcotest.(check string) "-j 2 byte-identical" seq par
@@ -508,27 +503,29 @@ let test_workload_quantiles_present () =
   List.iter
     (fun c ->
       let h =
-        Exsel_obs.Metrics.histogram c.Workload.w_metrics
+        Exsel_obs.Metrics.histogram c.Drive.c_metrics
           "exsel_workload_acquire_latency_commits"
-          ~labels:
-            [ ("pattern", c.Workload.w_pattern); ("backend", "sim") ]
+          ~labels:[ ("pattern", c.Drive.c_load); ("backend", "sim") ]
       in
-      if c.Workload.w_acquires > 0 then begin
+      if c.Drive.c_acquires > 0 then begin
         let p50 = Exsel_obs.Metrics.hquantile h 0.50 in
         let p999 = Exsel_obs.Metrics.hquantile h 0.999 in
         if p50 <= 0 then
           Alcotest.failf "%s cell has empty acquire histogram"
-            c.Workload.w_pattern;
+            c.Drive.c_load;
         if p999 < p50 then Alcotest.fail "p999 below p50"
       end)
-    report.Workload.wr_cells
+    report.Drive.r_cells
 
 let test_workload_adversary_schedules () =
   let cfg =
-    { small_workload with Workload.adversary = Some (Dsl.Cap (2, Dsl.Lockstep)) }
+    {
+      small_workload with
+      service = { small_service with adversary = Some (Dsl.Cap (2, Dsl.Lockstep)) };
+    }
   in
   let report = Workload.run cfg in
-  Alcotest.(check int) "no violations" 0 report.Workload.wr_violations;
+  Alcotest.(check int) "no violations" 0 report.Drive.r_violations;
   match Validate.workload (Workload.to_json report) with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "adversary workload invalid: %s" msg
@@ -538,8 +535,12 @@ let test_workload_validate_rejections () =
      Workload.validate
        {
          small_workload with
-         Workload.backend = Churn.Native { domains = 2 };
-         adversary = Some Dsl.Uniform;
+         service =
+           {
+             small_service with
+             backend = Native { domains = 2 };
+             adversary = Some Dsl.Uniform;
+           };
        }
    with
   | Error _ -> ()
@@ -548,7 +549,11 @@ let test_workload_validate_rejections () =
     Workload.validate
       {
         small_workload with
-        Workload.adversary = Some (Dsl.Crash_points (Dsl.Half 0, Dsl.Uniform));
+        service =
+          {
+            small_service with
+            adversary = Some (Dsl.Crash_points (Dsl.Half 0, Dsl.Uniform));
+          };
       }
   with
   | Error _ -> ()

@@ -1,11 +1,14 @@
 (* Tests for the long-lived renaming service (lib/service): shard-router
    bookkeeping, per-shard core generation soundness, cross-validation
-   against the functorized Long_lived oracle, and churn campaigns. *)
+   against the functorized Long_lived oracle, churn campaigns, and the
+   golden seeded outputs and claim checks of both loads. *)
 
 open Exsel_sim
 module Core = Exsel_service.Core
 module Router = Exsel_service.Router
+module Drive = Exsel_service.Drive
 module Churn = Exsel_service.Churn
+module Workload = Exsel_service.Workload
 module LL = Exsel_renaming.Long_lived
 module Json = Exsel_obs.Json
 module Validate = Exsel_testkit.Validate
@@ -214,34 +217,29 @@ let test_core_matches_long_lived_oracle () =
 (* Churn campaigns                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let small_config =
-  {
-    Churn.default with
-    Churn.shards = 2;
-    cap = 3;
-    sessions = 5;
-    rounds = 5;
-    seeds = [ 1; 2 ];
-  }
+let small_service =
+  { Drive.default with shards = 2; cap = 3; rounds = 5; seeds = [ 1; 2 ] }
+
+let small_config = { Churn.default with service = small_service; sessions = 5 }
 
 let test_churn_campaign_green () =
   let report = Churn.run small_config in
-  Alcotest.(check int) "cells" 6 (List.length report.Churn.r_cells);
+  Alcotest.(check int) "cells" 6 (List.length report.Drive.r_cells);
   List.iter
     (fun c ->
       Alcotest.(check (list string))
-        (Printf.sprintf "%s seed %d clean" c.Churn.c_regime c.Churn.c_seed)
-        [] c.Churn.c_violations;
+        (Printf.sprintf "%s seed %d clean" c.Drive.c_load c.Drive.c_seed)
+        [] c.Drive.c_violations;
       Alcotest.(check bool)
-        (Printf.sprintf "%s seed %d acquired" c.Churn.c_regime c.Churn.c_seed)
-        true (c.Churn.c_acquires > 0))
-    report.Churn.r_cells;
-  Alcotest.(check int) "no violations" 0 report.Churn.r_violations
+        (Printf.sprintf "%s seed %d acquired" c.Drive.c_load c.Drive.c_seed)
+        true (c.Drive.c_acquires > 0))
+    report.Drive.r_cells;
+  Alcotest.(check int) "no violations" 0 report.Drive.r_violations
 
 let cells_of_regime report regime =
   List.filter
-    (fun c -> c.Churn.c_regime = Churn.regime_id regime)
-    report.Churn.r_cells
+    (fun c -> c.Drive.c_load = Churn.regime_id regime)
+    report.Drive.r_cells
 
 let test_churn_regimes_exercise_faults () =
   let report = Churn.run small_config in
@@ -250,39 +248,41 @@ let test_churn_regimes_exercise_faults () =
   in
   Alcotest.(check bool)
     "crash-rejoin crashes" true
-    (sum (fun c -> c.Churn.c_crashes) Churn.Crash_rejoin > 0);
+    (sum (fun c -> c.Drive.c_crashes) Churn.Crash_rejoin > 0);
   Alcotest.(check bool)
     "hot-shard spills" true
-    (sum (fun c -> c.Churn.c_spills) Churn.Hot_shard > 0);
+    (sum (fun c -> c.Drive.c_spills) Churn.Hot_shard > 0);
   Alcotest.(check bool)
     "waves departs and rejoins" true
-    (sum (fun c -> c.Churn.c_joins) Churn.Waves > small_config.Churn.sessions)
+    (sum (fun c -> c.Drive.c_joins) Churn.Waves > small_config.Churn.sessions)
 
 let test_churn_recycles_worn_shards () =
   (* one seat, one entry slot: every departure wears the shard out and
      the next arrival needs a recycled incarnation *)
   let cfg =
     {
-      Churn.default with
-      Churn.shards = 1;
-      cap = 1;
+      Churn.service =
+        { Drive.default with shards = 1; cap = 1; rounds = 8; seeds = [ 1; 2; 3 ] };
       sessions = 1;
-      rounds = 8;
       regimes = [ Churn.Waves ];
-      seeds = [ 1; 2; 3 ];
     }
   in
   let report = Churn.run cfg in
-  Alcotest.(check int) "clean" 0 report.Churn.r_violations;
+  Alcotest.(check int) "clean" 0 report.Drive.r_violations;
   let recycles =
-    List.fold_left (fun a c -> a + c.Churn.c_recycles) 0 report.Churn.r_cells
+    List.fold_left (fun a c -> a + c.Drive.c_recycles) 0 report.Drive.r_cells
   in
   Alcotest.(check bool) "some shard recycled" true (recycles > 0)
 
 let test_churn_adaptive_entry_green () =
-  let cfg = { small_config with Churn.entry = Core.Adaptive; seeds = [ 4 ] } in
+  let cfg =
+    {
+      small_config with
+      service = { small_service with entry = Core.Adaptive; seeds = [ 4 ] };
+    }
+  in
   let report = Churn.run cfg in
-  Alcotest.(check int) "adaptive entry clean" 0 report.Churn.r_violations
+  Alcotest.(check int) "adaptive entry clean" 0 report.Drive.r_violations
 
 let test_churn_parallel_byte_identical () =
   let seq = Churn.run ~jobs:1 small_config in
@@ -295,33 +295,36 @@ let test_churn_parallel_byte_identical () =
 let test_churn_events_cover_cells () =
   let started = ref 0 and finished = ref 0 in
   let on_event = function
-    | Churn.Cell_started _ -> incr started
-    | Churn.Cell_finished _ -> incr finished
+    | Drive.Cell_started _ -> incr started
+    | Drive.Cell_finished _ -> incr finished
   in
   let report = Churn.run ~on_event small_config in
-  Alcotest.(check int) "started" (List.length report.Churn.r_cells) !started;
-  Alcotest.(check int) "finished" (List.length report.Churn.r_cells) !finished
+  Alcotest.(check int) "started" (List.length report.Drive.r_cells) !started;
+  Alcotest.(check int) "finished" (List.length report.Drive.r_cells) !finished
 
 let test_churn_native_smoke () =
   let cfg =
     {
       Churn.default with
-      Churn.shards = 2;
-      cap = 2;
+      service =
+        {
+          Drive.default with
+          cap = 2;
+          rounds = 3;
+          seeds = [ 1 ];
+          backend = Native { domains = 2 };
+        };
       sessions = 3;
-      rounds = 3;
-      seeds = [ 1 ];
-      backend = Churn.Native { domains = 2 };
     }
   in
   let report = Churn.run cfg in
-  Alcotest.(check int) "native churn clean" 0 report.Churn.r_violations;
+  Alcotest.(check int) "native churn clean" 0 report.Drive.r_violations;
   List.iter
     (fun c ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s native acquired" c.Churn.c_regime)
-        true (c.Churn.c_acquires > 0))
-    report.Churn.r_cells;
+        (Printf.sprintf "%s native acquired" c.Drive.c_load)
+        true (c.Drive.c_acquires > 0))
+    report.Drive.r_cells;
   match Validate.service (Churn.to_json report) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "native report invalid: %s" e
@@ -329,14 +332,16 @@ let test_churn_native_smoke () =
 let test_churn_rejects_bad_config () =
   Alcotest.check_raises "zero shards"
     (Invalid_argument "Churn.run: shards must be positive") (fun () ->
-      ignore (Churn.run { small_config with Churn.shards = 0 }));
+      ignore
+        (Churn.run
+           { small_config with service = { small_service with shards = 0 } }));
   Alcotest.check_raises "no regimes"
     (Invalid_argument "Churn.run: at least one churn regime required")
     (fun () -> ignore (Churn.run { small_config with Churn.regimes = [] }))
 
 let test_churn_traces_sim_only () =
   let traces = Churn.shard_traces small_config Churn.Hot_shard ~seed:1 in
-  Alcotest.(check int) "one trace per shard" small_config.Churn.shards
+  Alcotest.(check int) "one trace per shard" small_service.shards
     (List.length traces);
   let busiest =
     List.fold_left (fun a (_, c, _) -> max a c) 0 traces
@@ -353,7 +358,10 @@ let test_churn_traces_sim_only () =
     (fun () ->
       ignore
         (Churn.shard_traces
-           { small_config with Churn.backend = Churn.Native { domains = 2 } }
+           {
+             small_config with
+             service = { small_service with backend = Native { domains = 2 } };
+           }
            Churn.Waves ~seed:1))
 
 (* ------------------------------------------------------------------ *)
@@ -371,13 +379,15 @@ let test_report_json_schema_and_validator () =
   (match Validate.service j with
   | Ok () -> ()
   | Error e -> Alcotest.failf "report rejected: %s" e);
-  match Validate.metrics_doc (Exsel_obs.Metrics.to_json report.Churn.r_metrics)
+  match Validate.metrics_doc (Exsel_obs.Metrics.to_json report.Drive.r_metrics)
   with
   | Ok () -> ()
   | Error e -> Alcotest.failf "metrics rejected: %s" e
 
 let test_validator_catches_lying_ok () =
-  let report = Churn.run { small_config with Churn.seeds = [ 1 ] } in
+  let report =
+    Churn.run { small_config with service = { small_service with seeds = [ 1 ] } }
+  in
   let j = Churn.to_json report in
   let rec patch = function
     | Json.Obj fields ->
@@ -418,34 +428,113 @@ let test_docs_cross_references () =
       | Error e -> Alcotest.failf "docs cross-reference broken: %s" e)
 
 (* ------------------------------------------------------------------ *)
+(* Golden seeded outputs                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The documents the CLI writes for the two CI simulator configs, pinned
+   byte for byte: the --json report, the --metrics-out exposition and the
+   -j 1 --events stream of
+     service --shards 2 --cap 4 --sessions 6 --rounds 6 --seeds 1,2
+     workload --shards 2 --cap 4 --rounds 8 --rate 3 --seeds 1,2
+   Any change to a draw, a check or a rendering shows up here. *)
+let check_golden file actual =
+  let expected =
+    In_channel.with_open_bin (Filename.concat "golden" file) In_channel.input_all
+  in
+  if expected <> actual then begin
+    let n = min (String.length expected) (String.length actual) in
+    let rec first i =
+      if i < n && expected.[i] = actual.[i] then first (i + 1) else i
+    in
+    let i = first 0 in
+    let around s =
+      let lo = max 0 (i - 40) in
+      String.sub s lo (min (String.length s - lo) 100)
+    in
+    Alcotest.failf "%s differs at byte %d:\n  want ...%s...\n  got  ...%s..."
+      file i (around expected) (around actual)
+  end
+
+let golden_run name ~run ~start ~event ~done_ ~to_json =
+  let events = ref [] in
+  let report = run ~on_event:(fun ev -> events := event ev :: !events) in
+  let line j = Json.to_string j ^ "\n" in
+  check_golden (name ^ ".json") (line (to_json report));
+  check_golden (name ^ ".prom")
+    (Exsel_obs.Metrics.to_openmetrics report.Drive.r_metrics);
+  check_golden (name ^ ".events")
+    (String.concat ""
+       (List.map line ((start :: List.rev !events) @ [ done_ report ])))
+
+let test_golden_service () =
+  let cfg =
+    {
+      Churn.service =
+        { Drive.default with shards = 2; cap = 4; rounds = 6; seeds = [ 1; 2 ] };
+      sessions = 6;
+      regimes = Churn.all_regimes;
+    }
+  in
+  golden_run "service"
+    ~run:(fun ~on_event -> Churn.run ~on_event cfg)
+    ~start:(Churn.start_event cfg) ~event:Churn.event_json
+    ~done_:Drive.done_event ~to_json:Churn.to_json
+
+let test_golden_workload () =
+  let cfg =
+    {
+      Workload.default with
+      service =
+        { Drive.default with shards = 2; cap = 4; rounds = 8; seeds = [ 1; 2 ] };
+      rate = 3;
+    }
+  in
+  golden_run "workload"
+    ~run:(fun ~on_event -> Workload.run ~on_event cfg)
+    ~start:(Workload.start_event cfg) ~event:Workload.event_json
+    ~done_:Drive.done_event ~to_json:Workload.to_json
+
+(* ------------------------------------------------------------------ *)
 (* qcheck: concurrent holders never collide                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Both loads over random service shapes: no cell may report a
+   violation of any kind — exclusive holds, generation reuse, the
+   adaptive bound, leaks, crash pins, entry overflow or liveness.  Half
+   the draws run one arrival pattern, with [n] as its rate; the rest run
+   every churn regime, with [n] as the session target. *)
 let prop_no_colliding_holders =
-  QCheck.Test.make ~count:30 ~name:"concurrent holders never collide"
+  QCheck.Test.make ~count:60 ~name:"concurrent holders never collide"
     QCheck.(
-      quad (int_range 1 3) (int_range 1 4) (int_range 2 6) (int_range 1 1000))
-    (fun (shards, cap, sessions, seed) ->
-      let cfg =
+      pair
+        (quad (int_range 1 3) (int_range 1 4) (int_range 1 6) (int_range 1 1000))
+        (triple bool (int_range 0 5) (int_range 1 4)))
+    (fun ((shards, cap, n, seed), (adaptive, load, hold)) ->
+      let service =
         {
-          Churn.default with
-          Churn.shards;
+          Drive.default with
+          shards;
           cap;
-          sessions;
           rounds = 4;
           seeds = [ seed ];
+          entry = (if adaptive then Core.Adaptive else Core.Efficient);
         }
       in
-      let report = Churn.run cfg in
+      let cells =
+        match List.nth_opt Workload.all_patterns load with
+        | None ->
+            (Churn.run { Churn.default with service; sessions = n }).Drive.r_cells
+        | Some pattern ->
+            (Workload.run
+               { Workload.default with service; rate = n; hold; patterns = [ pattern ] })
+              .Drive.r_cells
+      in
       List.for_all
-        (fun c ->
-          not
-            (List.exists
-               (fun v ->
-                 String.length v >= 15
-                 && String.sub v 0 15 = "exclusive-holds")
-               c.Churn.c_violations))
-        report.Churn.r_cells)
+        (fun (c : Drive.cell) ->
+          c.c_violations = []
+          || QCheck.Test.fail_reportf "%s seed %d: %s" c.c_load c.c_seed
+               (String.concat "; " c.c_violations))
+        cells)
 
 let () =
   Alcotest.run "service"
@@ -502,6 +591,13 @@ let () =
             test_validator_catches_lying_ok;
           Alcotest.test_case "docs cross-references" `Quick
             test_docs_cross_references;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "service outputs byte-identical" `Quick
+            test_golden_service;
+          Alcotest.test_case "workload outputs byte-identical" `Quick
+            test_golden_workload;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_no_colliding_holders ] );
