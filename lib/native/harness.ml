@@ -100,8 +100,8 @@ let drive ~rename ~ids ~domains =
       Engine.spawn engine
         ~name:(Printf.sprintf "p%d" i)
         (fun () ->
-          (* each task owns slots [i] exclusively; reads happen after the
-             engine joins, so plain array writes are safe *)
+          (* each task owns slots [i] exclusively; reads happen after
+             Engine.run returns, so plain array writes are safe *)
           let t0 = Monotonic_clock.now () in
           let r = rename ~me:id in
           let t1 = Monotonic_clock.now () in
@@ -140,9 +140,10 @@ let run ?(warmup = 0) ?(probe = false) ~algo ~n ~domains ~seed () =
   if warmup < 0 then invalid_arg "Harness.run: warmup must be non-negative";
   let ids = ids_for algo n in
   (* Warmup runs are complete throwaway campaigns on the plain backend:
-     they warm code paths, the allocator and CPU frequency scaling so
-     pool cold-start stays out of the measured quantiles; their cost is
-     reported separately, never mixed into the latencies. *)
+     they warm code paths, the allocator and CPU frequency scaling, and
+     start the engine's helper domains, so start-up stays out of the
+     measured quantiles; their cost is reported separately, never mixed
+     into the latencies. *)
   let warmup_ns =
     if warmup = 0 then 0L
     else begin

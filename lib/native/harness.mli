@@ -69,10 +69,11 @@ val run :
     parallelism; [n] logical processes are work-queued onto the pool.
     [warmup] (default 0) first executes that many complete throwaway
     runs of the same cell — warming code paths, allocator and frequency
-    scaling so pool cold-start stays out of the measured latencies — and
-    reports their total cost in [warmup_ns].  [probe] (default false)
-    runs the measured campaign on the instrumented backend, filling
-    [reg_stats]; leave it off for baseline-gated benchmarks.
+    scaling, and starting the calling domain's parked helper domains, so
+    the measured run only hands off to them — and reports their total
+    cost in [warmup_ns].  [probe] (default false) runs the measured
+    campaign on the instrumented backend, filling [reg_stats]; leave it
+    off for baseline-gated benchmarks.
     @raise Invalid_argument if [n <= 0], [domains <= 0] or [warmup < 0].
     @raise Engine.Task_failed if a process body raised. *)
 
@@ -101,7 +102,8 @@ val observe : Exsel_obs.Metrics.t -> run -> unit
     [exsel_rename_latency_ns] histogram (clamped via {!ns_to_int});
     decided-vs-spawned as the separate [exsel_rename_decisions_total] /
     [exsel_rename_spawned_total] counters; [exsel_rename_wall_ns],
-    [exsel_engine_spawn_ns] and [exsel_engine_join_ns] gauges;
+    [exsel_engine_spawn_ns] (the hand-off to the helpers) and
+    [exsel_engine_join_ns] (the wait for claimed tasks) gauges;
     per-domain [exsel_domain_tasks_total] / [exsel_domain_busy_ns_total]
     counters labelled [domain=<w>]; [exsel_rename_warmup_ns] when warmup
     ran; and — for probed runs — per-register

@@ -60,8 +60,10 @@ module Native : sig
   type doc = {
     nd_label : string option;
     nd_domains : int;  (** pool workers (tracks) *)
-    nd_spawn_ns : int;  (** helper [Domain.spawn] overhead *)
-    nd_join_ns : int;  (** drain-to-join overhead *)
+    nd_spawn_ns : int;
+        (** hand-off to the helper domains, [Domain.spawn] included when
+            the pool grew *)
+    nd_join_ns : int;  (** the caller's wait for claimed tasks *)
     nd_wall_ns : int;  (** end-to-end engine wall clock *)
     nd_spans : span list;  (** in task spawn order *)
   }

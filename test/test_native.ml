@@ -1,6 +1,6 @@
 (* Tests for the native OCaml 5 backend (DESIGN.md §12): the pure
    decision-log claim checker shared with the conformance adapters, the
-   one-shot domain-pool engine, register accounting on the atomic
+   engine and its parked helper domains, register accounting on the atomic
    backend, cross-validation of every ported renaming algorithm against
    the paper's claims across several domain counts and repeated trials,
    and the harness's metrics observation. *)
@@ -70,7 +70,7 @@ let test_claims_steps_budget_optional () =
   | Error msg -> Alcotest.failf "unbudgeted check rejected: %s" msg
 
 (* ------------------------------------------------------------------ *)
-(* Engine: one-shot pool semantics                                     *)
+(* Engine: one-shot runs on parked helper domains                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_engine_sequential_deterministic () =
@@ -112,24 +112,20 @@ let test_engine_failure_propagates () =
   (* the queue still drained: failure is recorded, not a hard stop *)
   Alcotest.(check int) "other tasks still ran" 2 (Atomic.get survivors)
 
-let test_engine_telemetry () =
-  (* the flight record is present after run, covers every task exactly
-     once, attributes spans to real workers, and keeps busy <= wall *)
-  let e = Engine.create () in
-  let n = 12 in
-  for i = 0 to n - 1 do
-    Engine.spawn e ~name:(Printf.sprintf "t%d" i) (fun () -> ())
-  done;
-  Alcotest.(check bool) "no telemetry before run" true (Engine.telemetry e = None);
-  Engine.run e ~domains:3;
+(* The flight-record invariants every run must satisfy: present after
+   the run, one event per task covering each index exactly once under its
+   name ["t<index>"], spans attributed to real workers inside the run
+   window, worker stats summing to the task count, busy within wall and
+   non-negative overheads. *)
+let check_telemetry ~domains ~n e =
   let tl =
     match Engine.telemetry e with
     | Some tl -> tl
     | None -> Alcotest.fail "telemetry missing after run"
   in
-  Alcotest.(check int) "domains" 3 tl.Engine.tl_domains;
+  Alcotest.(check int) "domains" domains tl.Engine.tl_domains;
   Alcotest.(check int) "one event per task" n (Array.length tl.Engine.tl_events);
-  Alcotest.(check int) "one stat row per worker" 3
+  Alcotest.(check int) "one stat row per worker" domains
     (Array.length tl.Engine.tl_workers);
   let seen = Array.make n false in
   Array.iter
@@ -141,7 +137,7 @@ let test_engine_telemetry () =
         "event name matches index"
         (Printf.sprintf "t%d" ev.Engine.te_index)
         ev.Engine.te_name;
-      if ev.Engine.te_worker < 0 || ev.Engine.te_worker >= 3 then
+      if ev.Engine.te_worker < 0 || ev.Engine.te_worker >= domains then
         Alcotest.failf "worker %d out of range" ev.Engine.te_worker;
       if Int64.compare ev.Engine.te_start_ns ev.Engine.te_stop_ns > 0 then
         Alcotest.fail "span stops before it starts";
@@ -160,6 +156,16 @@ let test_engine_telemetry () =
     Alcotest.fail "negative spawn overhead";
   if Int64.compare tl.Engine.tl_join_ns 0L < 0 then
     Alcotest.fail "negative join overhead"
+
+let test_engine_telemetry () =
+  let e = Engine.create () in
+  let n = 12 in
+  for i = 0 to n - 1 do
+    Engine.spawn e ~name:(Printf.sprintf "t%d" i) (fun () -> ())
+  done;
+  Alcotest.(check bool) "no telemetry before run" true (Engine.telemetry e = None);
+  Engine.run e ~domains:3;
+  check_telemetry ~domains:3 ~n e
 
 let test_engine_telemetry_sequential () =
   (* domains = 1: every span lands on worker 0 and they never overlap *)
@@ -192,6 +198,104 @@ let test_engine_one_shot () =
   match Engine.run (Engine.create ()) ~domains:0 with
   | () -> Alcotest.fail "domains = 0 should raise"
   | exception Invalid_argument _ -> ()
+
+let test_engine_reuses_helpers () =
+  (* two tasks that wait for each other (with a bound) run on two
+     domains; the one that is not the caller must be the same parked
+     helper in every batch *)
+  let caller = (Domain.self () :> int) in
+  let others =
+    List.init 20 (fun batch ->
+        let e = Engine.create () in
+        let started = Array.init 2 (fun _ -> Atomic.make false) in
+        let where = Array.make 2 caller in
+        for i = 0 to 1 do
+          Engine.spawn e ~name:(Printf.sprintf "t%d" i) (fun () ->
+              where.(i) <- (Domain.self () :> int);
+              Atomic.set started.(i) true;
+              let give_up = Sys.time () +. 5.0 in
+              while (not (Atomic.get started.(1 - i))) && Sys.time () < give_up do
+                Domain.cpu_relax ()
+              done)
+        done;
+        Engine.run e ~domains:2;
+        match List.filter (( <> ) caller) (Array.to_list where) with
+        | [ other ] -> other
+        | _ -> Alcotest.failf "batch %d did not run on two domains" batch)
+  in
+  let first = List.hd others in
+  List.iteri
+    (fun batch d ->
+      if d <> first then
+        Alcotest.failf "batch %d ran on domain %d, batch 0 on domain %d" batch d first)
+    others
+
+let test_engine_exactly_once () =
+  (* many small batches at 2–4 domains, one in ten with a failing task:
+     every task runs exactly once, the failure names its task, and every
+     flight record holds.  Another one in ten has a slow task, so the
+     caller outlasts its spin and blocks whenever a helper claims it. *)
+  let rng = Random.State.make [| 23 |] in
+  for batch = 0 to 1999 do
+    let n = 1 + Random.State.int rng 8 in
+    let domains = 2 + Random.State.int rng 3 in
+    let failing = if batch mod 10 = 0 then Some (Random.State.int rng n) else None in
+    let slow = if batch mod 10 = 5 then Some (Random.State.int rng n) else None in
+    let runs = Array.init n (fun _ -> Atomic.make 0) in
+    let e = Engine.create () in
+    for i = 0 to n - 1 do
+      Engine.spawn e ~name:(Printf.sprintf "t%d" i) (fun () ->
+          Atomic.incr runs.(i);
+          if slow = Some i then
+            for _ = 1 to 20_000 do
+              Domain.cpu_relax ()
+            done;
+          if failing = Some i then failwith "planned")
+    done;
+    (match (Engine.run e ~domains, failing) with
+    | (), None -> ()
+    | (), Some i -> Alcotest.failf "batch %d: failure of t%d not raised" batch i
+    | exception Engine.Task_failed (name, Failure _) ->
+        let expected = Option.map (Printf.sprintf "t%d") failing in
+        if Some name <> expected then
+          Alcotest.failf "batch %d: Task_failed names %s" batch name
+    | exception e -> Alcotest.failf "batch %d: %s" batch (Printexc.to_string e));
+    Array.iteri
+      (fun i r ->
+        if Atomic.get r <> 1 then
+          Alcotest.failf "batch %d: t%d ran %d times" batch i (Atomic.get r))
+      runs;
+    check_telemetry ~domains:(min domains n) ~n e
+  done
+
+let test_engine_lifecycle () =
+  (* helpers belong to the domain that calls the engine: a spawned
+     domain that ran a 2-domain batch stops its helpers as it exits, so
+     joining it returns; and runs nested in another run's tasks complete
+     on whichever domain the task landed *)
+  let d =
+    Domain.spawn (fun () ->
+        let e = Engine.create () in
+        let hits = Atomic.make 0 in
+        for i = 0 to 3 do
+          Engine.spawn e ~name:(Printf.sprintf "t%d" i) (fun () -> Atomic.incr hits)
+        done;
+        Engine.run e ~domains:2;
+        Atomic.get hits)
+  in
+  Alcotest.(check int) "spawned domain's batch ran" 4 (Domain.join d);
+  let outer = Engine.create () in
+  let hits = Atomic.make 0 in
+  for i = 0 to 3 do
+    Engine.spawn outer ~name:(Printf.sprintf "t%d" i) (fun () ->
+        let inner = Engine.create () in
+        for j = 0 to 3 do
+          Engine.spawn inner ~name:(Printf.sprintf "t%d" j) (fun () -> Atomic.incr hits)
+        done;
+        Engine.run inner ~domains:2)
+  done;
+  Engine.run outer ~domains:2;
+  Alcotest.(check int) "nested runs completed" 16 (Atomic.get hits)
 
 (* ------------------------------------------------------------------ *)
 (* Backend: atomic registers and accounting                            *)
@@ -422,6 +526,9 @@ let () =
           Alcotest.test_case "telemetry domains=1" `Quick
             test_engine_telemetry_sequential;
           Alcotest.test_case "one-shot" `Quick test_engine_one_shot;
+          Alcotest.test_case "helpers reused" `Quick test_engine_reuses_helpers;
+          Alcotest.test_case "exactly once" `Quick test_engine_exactly_once;
+          Alcotest.test_case "lifecycle" `Quick test_engine_lifecycle;
         ] );
       ( "backend",
         [
