@@ -437,6 +437,7 @@ let p6_latency_quantiles () =
    only, with the ns histograms merged into the embedded exsel-metrics/1
    document. *)
 let p7_native_rename ?(max_n = 1024) ?(warmup = 0) () =
+  let module A = Exsel_conformance.Adapter in
   let module H = Exsel_native.Harness in
   let module E = Exsel_native.Engine in
   let module M = Exsel_obs.Metrics in
@@ -448,7 +449,8 @@ let p7_native_rename ?(max_n = 1024) ?(warmup = 0) () =
   let gated_n = [ 16; 64 ] in
   let rows =
     List.concat_map
-      (fun (algo, name) ->
+      (fun algo ->
+        let name = algo.A.id in
         List.concat_map
           (fun n ->
             let decided_at_n = ref 0 in
@@ -499,7 +501,7 @@ let p7_native_rename ?(max_n = 1024) ?(warmup = 0) () =
                 :: !metrics;
             rows)
           ns)
-      [ (H.Ma, "ma"); (H.Efficient, "efficient"); (H.Adaptive, "adaptive") ]
+      (List.filter_map A.find [ "ma"; "efficient"; "adaptive" ])
   in
   ( Table.make ~id:"P7"
       ~title:"perf: native rename throughput and tail latency (OCaml 5 domains)"

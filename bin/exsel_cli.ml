@@ -15,18 +15,20 @@ module Json = Exsel_obs.Json
 module Probe = Exsel_obs.Probe
 module Span = Exsel_obs.Span
 module Trace_export = Exsel_obs.Trace_export
+module Conf_adapter = Exsel_conformance.Adapter
+module Runner = Exsel_conformance.Runner
 (* Exsel_sim.Metrics (per-run summaries) is shadowed by [open Exsel_sim]
    below; the registry subsystem gets an unambiguous alias. *)
 module Obs_metrics = Exsel_obs.Metrics
 
 let spread ~count ~bound = List.init count (fun i -> i * (max 1 (bound / count)) mod bound)
 
+(* Every usage error: a specific message on stderr, then exit 2. *)
+let usage fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
+
 (* -j 0 means "one domain per core"; anything negative is a usage error. *)
 let resolve_jobs jobs =
-  if jobs < 0 then begin
-    Printf.eprintf "--jobs must be >= 0 (got %d)\n" jobs;
-    exit 2
-  end
+  if jobs < 0 then usage "--jobs must be >= 0 (got %d)" jobs
   else if jobs = 0 then Exsel_sim.Pool.default_jobs ()
   else jobs
 
@@ -35,9 +37,7 @@ let resolve_jobs jobs =
 let open_out_or_exit2
     ?(mode = [ Open_wronly; Open_creat; Open_trunc; Open_text ]) path =
   try open_out_gen mode 0o666 path
-  with Sys_error msg ->
-    Printf.eprintf "cannot open output file: %s\n" msg;
-    exit 2
+  with Sys_error msg -> usage "cannot open output file: %s" msg
 
 (* FILE outputs written only at the end (--json, --chrome, --trace) are
    probed up front the same way.  The probe appends, and removes a file it
@@ -52,10 +52,20 @@ let check_outputs =
          if not existed then Sys.remove path))
 
 let check_us_per_commit us =
-  if us <= 0 then begin
-    Printf.eprintf "--us-per-commit must be positive (got %d)\n" us;
-    exit 2
-  end
+  if us <= 0 then usage "--us-per-commit must be positive (got %d)" us
+
+(* Instance sizes are checked before any work: a size the algorithms
+   cannot build is a usage error, never an uncaught exception or a
+   vacuous run. *)
+let check_positive (flag, v) =
+  if v <= 0 then usage "%s must be positive (got %d)" flag v
+
+let check_at_least_two (flag, k) = if k < 2 then usage "%s must be at least 2" flag
+
+let check_name_space ~flag (a : Conf_adapter.t) k =
+  if k > a.Conf_adapter.max_k then
+    usage "%s %d exceeds the %d original names %s draws from" flag k
+      a.Conf_adapter.max_k a.Conf_adapter.id
 
 (* NDJSON event emitter for the exsel-events/1 streams: every line is
    written and flushed under one mutex, so events arriving concurrently
@@ -106,33 +116,26 @@ type algo =
   | Adaptive
   | Chain
 
-let algo_conv =
-  let parse = function
-    | "ma" | "moir-anderson" -> Ok Moir_anderson
-    | "snapshot" | "attiya" -> Ok Snapshot_renaming
-    | "majority" -> Ok Majority
-    | "basic" -> Ok Basic
-    | "polylog" -> Ok Polylog
-    | "efficient" -> Ok Efficient
-    | "almost-adaptive" -> Ok Almost_adaptive
-    | "adaptive" -> Ok Adaptive
-    | "chain" -> Ok Chain
-    | s -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s))
-  in
-  let print ppf a =
-    Format.pp_print_string ppf
-      (match a with
-      | Moir_anderson -> "ma"
-      | Snapshot_renaming -> "snapshot"
-      | Majority -> "majority"
-      | Basic -> "basic"
-      | Polylog -> "polylog"
-      | Efficient -> "efficient"
-      | Almost_adaptive -> "almost-adaptive"
-      | Adaptive -> "adaptive"
-      | Chain -> "chain")
-  in
-  Cmdliner.Arg.conv (parse, print)
+(* The simulator's algorithms, each with its names, canonical first. *)
+let sim_algos =
+  [
+    (Moir_anderson, [ "ma"; "moir-anderson" ]);
+    (Snapshot_renaming, [ "snapshot"; "attiya" ]);
+    (Majority, [ "majority" ]);
+    (Basic, [ "basic" ]);
+    (Polylog, [ "polylog" ]);
+    (Efficient, [ "efficient" ]);
+    (Almost_adaptive, [ "almost-adaptive" ]);
+    (Adaptive, [ "adaptive" ]);
+    (Chain, [ "chain" ]);
+  ]
+
+let algo_name a = List.hd (List.assoc a sim_algos)
+
+let sim_algo name =
+  match List.find_opt (fun (_, names) -> List.mem name names) sim_algos with
+  | Some (a, _) -> a
+  | None -> usage "--algo: unknown algorithm %S on the simulator" name
 
 (* Returns the rename function together with the instance's name bound M
    (used by the adversary's stage-budget formula). *)
@@ -169,37 +172,39 @@ let build_renamer algo mem ~k ~n ~n_names ~seed =
       let c = R.Chain_rename.create mem ~name:"ch" ~m:((2 * k) - 1) in
       ((fun ~me -> R.Chain_rename.rename c ~me), R.Chain_rename.names c)
 
+(* --backend native runs any conformance adapter; the simulator's
+   spellings of ma and attiya are aliases. *)
+let native_adapter name =
+  let id =
+    match name with "moir-anderson" -> "ma" | "snapshot" -> "attiya" | s -> s
+  in
+  match Conf_adapter.find id with
+  | Some a -> a
+  | None ->
+      usage "--backend native runs the conformance adapters (%s; got %s)"
+        (String.concat ", " (Conf_adapter.ids ()))
+        name
+
 (* Native-backend rename: real Atomic.t registers, real domains
-   (lib/native).  The contender count is --procs and the instance is
-   sized for exactly that contention; there is no scheduler, no crash
-   injection and no commit clock, so the sim-only flags are rejected up
-   front and claims are checked post hoc on the decision log.  The run
-   always probes the backend (per-register counters feed --profile and
+   (lib/native), on the adapter's own instance, ids and seeds.  The
+   contender count is --procs and the instance is sized for exactly that
+   contention; there is no scheduler, no crash injection and no commit
+   clock, so the sim-only flags are rejected up front and the adapter's
+   claims are checked post hoc on the decision log.  The run always
+   probes the backend (per-register counters feed --profile and
    --metrics-out; one interactive run does not care about the overhead),
    and the engine's flight record feeds --trace/--chrome wall-clock
    documents (DESIGN.md §13). *)
-let run_rename_native algo procs seed domains warmup profile json trace chrome
-    metrics_out =
+let run_rename_native (algo : Conf_adapter.t) procs seed domains warmup
+    profile json trace chrome metrics_out =
   let module H = Exsel_native.Harness in
   let module E = Exsel_native.Engine in
-  let halgo =
-    match algo with
-    | Moir_anderson -> H.Ma
-    | Efficient -> H.Efficient
-    | Adaptive -> H.Adaptive
-    | _ ->
-        Printf.eprintf
-          "--backend native supports --algo ma, efficient and adaptive (got %s)\n"
-          (Format.asprintf "%a" (Cmdliner.Arg.conv_printer algo_conv) algo);
-        exit 2
-  in
-  if warmup < 0 then begin
-    Printf.eprintf "--warmup must be non-negative (got %d)\n" warmup;
-    exit 2
-  end;
+  check_positive ("--procs", procs);
+  check_name_space ~flag:"--procs" algo procs;
+  if warmup < 0 then usage "--warmup must be non-negative (got %d)" warmup;
   let metrics_oc = Option.map open_out_or_exit2 metrics_out in
   check_outputs [ json; trace; chrome ];
-  let r = H.run ~warmup ~probe:true ~algo:halgo ~n:procs ~domains ~seed () in
+  let r = H.run ~warmup ~probe:true ~algo ~n:procs ~domains ~seed () in
   let reg =
     match Obs_metrics.ambient () with
     | Some reg -> reg
@@ -285,10 +290,7 @@ let run_rename_native algo procs seed domains warmup profile json trace chrome
         Json.Obj
           [
             ("schema", Json.String "exsel-rename/1");
-            ( "algorithm",
-              Json.String
-                (Format.asprintf "%a" (Cmdliner.Arg.conv_printer algo_conv) algo)
-            );
+            ("algorithm", Json.String r.H.algo);
             ("backend", Json.String "native");
             ("domains", Json.Int domains);
             ("seed", Json.Int seed);
@@ -324,6 +326,17 @@ let run_rename_native algo procs seed domains warmup profile json trace chrome
 
 let run_rename_sim algo k n n_names procs seed crashes profile json chrome
     us_per_commit =
+  List.iter check_positive
+    [ ("--contention", k); ("--total", n); ("--names", n_names); ("--procs", procs) ];
+  (* the paper's input: distinct original names from [0, --names) *)
+  if procs > n_names then
+    usage "--procs %d exceeds --names %d: contenders need distinct original names"
+      procs n_names;
+  List.iter
+    (fun (commit, pid) ->
+      if pid >= procs then
+        usage "--crash %d@%d: no process %d among --procs %d" pid commit pid procs)
+    crashes;
   check_us_per_commit us_per_commit;
   check_outputs [ json; chrome ];
   let mem = Memory.create () in
@@ -399,9 +412,7 @@ let run_rename_sim algo k n n_names procs seed crashes profile json chrome
             Json.Obj
               [
                 ("schema", Json.String "exsel-rename/1");
-                ( "algorithm",
-                  Json.String
-                    (Format.asprintf "%a" (Cmdliner.Arg.conv_printer algo_conv) algo) );
+                ("algorithm", Json.String (algo_name algo));
                 ("seed", Json.Int seed);
                 ("assignment", Json.List assignment);
                 ("summary", Json.of_summary summary);
@@ -439,11 +450,10 @@ let run_rename backend domains warmup algo k n n_names procs seed crashes
     profile json trace chrome metrics_out us_per_commit =
   match backend with
   | "sim" ->
+      let algo = sim_algo algo in
       let reject_native_only name = function
         | None -> ()
-        | Some _ ->
-            Printf.eprintf "%s applies only to --backend native\n" name;
-            exit 2
+        | Some _ -> usage "%s applies only to --backend native" name
       in
       reject_native_only "--domains" domains;
       reject_native_only "--warmup" warmup;
@@ -452,26 +462,21 @@ let run_rename backend domains warmup algo k n n_names procs seed crashes
       run_rename_sim algo k n n_names procs seed crashes profile json chrome
         us_per_commit
   | "native" ->
-      if crashes <> [] then begin
-        Printf.eprintf
+      let algo = native_adapter algo in
+      if crashes <> [] then
+        usage
           "--crash applies only to --backend sim (native domains cannot be \
-           crashed mid-run)\n";
-        exit 2
-      end;
+           crashed mid-run)";
       let domains =
         match domains with
-        | Some d when d <= 0 ->
-            Printf.eprintf "--domains must be positive (got %d)\n" d;
-            exit 2
+        | Some d when d <= 0 -> usage "--domains must be positive (got %d)" d
         | Some d -> d
         | None -> 4
       in
       run_rename_native algo procs seed domains
         (Option.value warmup ~default:0)
         profile json trace chrome metrics_out
-  | other ->
-      Printf.eprintf "unknown backend %S (expected sim or native)\n" other;
-      exit 2
+  | other -> usage "unknown backend %S (expected sim or native)" other
 
 (* ------------------------------------------------------------------ *)
 (* deposit subcommand                                                  *)
@@ -563,6 +568,8 @@ let run_naming n per seed =
 (* ------------------------------------------------------------------ *)
 
 let run_adversary algo k n_names seed =
+  let algo = sim_algo algo in
+  List.iter check_positive [ ("--contention", k); ("--names", n_names) ];
   let mem = Memory.create () in
   let rt = Runtime.create mem in
   let rename, m = build_renamer algo mem ~k ~n:k ~n_names ~seed in
@@ -571,9 +578,8 @@ let run_adversary algo k n_names seed =
   in
   let r = Memory.registers mem in
   let res = Adversary.force rt ~spawn ~n_names ~k ~m ~r in
-  Printf.printf "adversary vs %s: N=%d k=%d r=%d\n"
-    (Format.asprintf "%a" (Cmdliner.Arg.conv_printer algo_conv) algo)
-    n_names k r;
+  Printf.printf "adversary vs %s: N=%d k=%d r=%d\n" (algo_name algo) n_names k
+    r;
   List.iter
     (fun s ->
       Printf.printf "  stage %d: pool %d -> %d via %s on register %d\n"
@@ -642,63 +648,17 @@ let run_explore target contenders crashes reduce do_shrink max_paths jobs
     trace_file chrome_file json_file metrics_out events_file progress
     us_per_commit =
   let open Exsel_sim in
-  let init_compete () =
-    let mem = Memory.create () in
-    let rt = Runtime.create mem in
-    let c = R.Compete.create mem ~name:"c" in
-    let wins = Array.make contenders false in
-    for i = 0 to contenders - 1 do
-      ignore
-        (Runtime.spawn rt ~name:(string_of_int i) (fun () ->
-             wins.(i) <- R.Compete.compete c ~me:i))
-    done;
-    (wins, rt)
+  let adapter =
+    match Conf_adapter.find target with
+    | Some a -> a
+    | None ->
+        usage "unknown target %S; valid ids: %s" target
+          (String.concat " " (Conf_adapter.ids ()))
   in
-  let check_compete wins _rt =
-    if (Array.to_list wins |> List.filter Fun.id |> List.length) > 1 then
-      Error "two winners"
-    else Ok ()
-  in
-  let init_splitter () =
-    let mem = Memory.create () in
-    let rt = Runtime.create mem in
-    let s = R.Splitter.create mem ~name:"s" in
-    let outs = Array.make contenders None in
-    for i = 0 to contenders - 1 do
-      ignore
-        (Runtime.spawn rt ~name:(string_of_int i) (fun () ->
-             outs.(i) <- Some (R.Splitter.enter s ~me:i)))
-    done;
-    (outs, rt)
-  in
-  let check_splitter outs _rt =
-    let stops =
-      Array.to_list outs
-      |> List.filter (fun o -> o = Some R.Splitter.Stop)
-      |> List.length
-    in
-    if stops > 1 then Error "two stops" else Ok ()
-  in
-  (* deliberately racy read-increment-write counter: a known-violating
-     target for exercising the forensics pipeline end-to-end *)
-  let init_race () =
-    let mem = Memory.create () in
-    let rt = Runtime.create mem in
-    let r = Register.create mem ~name:"ctr" 0 in
-    Register.set_printer r string_of_int;
-    for i = 0 to contenders - 1 do
-      ignore
-        (Runtime.spawn rt ~name:(Printf.sprintf "inc%d" i) (fun () ->
-             let v = Runtime.read r in
-             Runtime.write r (v + 1)))
-    done;
-    (r, rt)
-  in
-  let check_race r _rt =
-    let v = Register.peek r in
-    if v = contenders then Ok ()
-    else Error (Printf.sprintf "lost update: counter %d, expected %d" v contenders)
-  in
+  check_at_least_two ("--contenders", contenders);
+  check_name_space ~flag:"--contenders" adapter contenders;
+  if crashes < 0 then usage "--crashes must be non-negative (got %d)" crashes;
+  if reduce && crashes > 0 then usage "--reduce (sleep sets) requires --crashes 0";
   let reduction = if reduce then `Sleep_sets else `None in
   let choice_str = Format.asprintf "%a" Explore.pp_choice in
   let stats_json (s : Explore.stats) =
@@ -716,182 +676,177 @@ let run_explore target contenders crashes reduce do_shrink max_paths jobs
                s.Explore.depth_histogram) );
       ]
   in
-  (* generic over the instance's context type; generalizes because it is a
-     syntactic value *)
   let jobs = resolve_jobs jobs in
   check_us_per_commit us_per_commit;
   let metrics_oc = Option.map open_out_or_exit2 metrics_out in
   let events_oc = Option.map open_out_or_exit2 events_file in
   check_outputs [ trace_file; chrome_file; json_file ];
   let em = make_emitter ~events_oc ~progress in
-  let drive ~init ~check =
-    emit em
-      (Json.Obj
-         [
-           ("schema", Json.String "exsel-events/1");
-           ("event", Json.String "start");
-           ("kind", Json.String "explore");
-           ("target", Json.String target);
-           ("contenders", Json.Int contenders);
-           ("max_crashes", Json.Int crashes);
-           ("reduction", Json.String (if reduce then "sleep_sets" else "none"));
-           ("max_paths", Json.Int max_paths);
-         ]);
-    (* Live path counts are shard-local increments folded into one atomic
-       total: approximate while running under -j N (see Explore.run), so
-       the progress lines are the one part of the stream that is not
-       jobs-deterministic — the done line reports the exact outcome. *)
-    let total_paths = Atomic.make 0 in
-    let on_progress d =
-      let t = Atomic.fetch_and_add total_paths d + d in
-      emit em
-        (Json.Obj
-           [ ("event", Json.String "explore_progress"); ("paths", Json.Int t) ])
-    in
-    let outcome =
-      Explore.run ~max_crashes:crashes ~max_paths ~reduction ~jobs ~on_progress
-        ~init ~check ()
-    in
-    Printf.printf "model-checked %s with %d contenders (crashes<=%d, reduction=%b)\n"
-      target contenders crashes reduce;
-    Printf.printf "paths: %d  decisions: %d  truncated: %b\n" outcome.Explore.paths
-      outcome.Explore.states outcome.Explore.truncated;
-    let st = outcome.Explore.stats in
-    Printf.printf
-      "effort: max-depth %d  replays %d  sleep-prunes %d  hash hits/misses %d/%d\n"
-      st.Explore.max_depth st.Explore.replays st.Explore.sleep_prunes
-      st.Explore.hash_hits st.Explore.hash_misses;
-    let failure_json, exit_code =
-      match outcome.Explore.failure with
-      | None ->
-          if outcome.Explore.truncated then begin
-            Printf.printf
-              "no violation in the first %d schedules (exploration truncated)\n"
-              outcome.Explore.paths;
-            (Json.Null, 3)
-          end
-          else begin
-            Printf.printf "invariant holds on every explored schedule\n";
-            (Json.Null, 0)
-          end
-      | Some (msg, sched) ->
-          Printf.printf "VIOLATION: %s\n" msg;
-          Printf.printf "schedule (%d choices):\n" (List.length sched);
-          List.iter (fun c -> Printf.printf "  %s\n" (choice_str c)) sched;
-          let final_sched, shrunk =
-            if do_shrink then begin
-              let s = Explore.shrink ~init ~check sched in
-              Printf.printf "shrunk to %d choices:\n" (List.length s);
-              List.iter (fun c -> Printf.printf "  %s\n" (choice_str c)) s;
-              (s, true)
-            end
-            else (sched, false)
-          in
-          (* the shrunk schedule needs a fresh trace capture; the original
-             schedule's trace rode along in the outcome *)
-          let events =
-            if shrunk then begin
-              let _ctx, rt = init () in
-              let tr = Trace.attach rt in
-              Explore.replay rt final_sched;
-              Trace.events tr
-            end
-            else outcome.Explore.failure_trace
-          in
-          let label = Printf.sprintf "%s x%d: %s" target contenders msg in
-          (match trace_file with
-          | Some path ->
-              Trace_export.write_file path (Trace_export.to_json ~label events);
-              Printf.printf "wrote %s\n" path
-          | None -> ());
-          (match chrome_file with
-          | Some path ->
-              Trace_export.write_file path
-                (Trace_export.chrome ~us_per_commit events);
-              Printf.printf "wrote %s (open at ui.perfetto.dev)\n" path
-          | None -> ());
-          ( Json.Obj
-              [
-                ("message", Json.String msg);
-                ("original_length", Json.Int (List.length sched));
-                ("shrunk", Json.Bool shrunk);
-                ( "schedule",
-                  Json.List (List.map (fun c -> Json.String (choice_str c)) final_sched)
-                );
-                ("trace", Trace_export.to_json ~label events);
-              ],
-            1 )
-    in
-    (match json_file with
-    | Some path ->
-        let doc =
-          Json.Obj
-            [
-              ("schema", Json.String "exsel-explore/1");
-              ("target", Json.String target);
-              ("contenders", Json.Int contenders);
-              ("max_crashes", Json.Int crashes);
-              ( "reduction",
-                Json.String (if reduce then "sleep_sets" else "none") );
-              ("paths", Json.Int outcome.Explore.paths);
-              ("states", Json.Int outcome.Explore.states);
-              ("truncated", Json.Bool outcome.Explore.truncated);
-              ("stats", stats_json st);
-              ("failure", failure_json);
-            ]
-        in
-        Trace_export.write_file path doc;
-        Printf.printf "wrote %s\n" path
-    | None -> ());
-    (* Explorer effort counters as a registry: prune rates and the path
-       depth distribution (rebuilt from the exact depth histogram, so the
-       exposition is jobs-deterministic even though progress lines are
-       not). *)
-    let reg = Obs_metrics.create () in
-    let labels = [ ("target", target) ] in
-    let count name v = Obs_metrics.inc (Obs_metrics.counter reg name ~labels) v in
-    count "exsel_explore_paths" outcome.Explore.paths;
-    count "exsel_explore_states" outcome.Explore.states;
-    count "exsel_explore_replays" st.Explore.replays;
-    count "exsel_explore_sleep_prunes" st.Explore.sleep_prunes;
-    count "exsel_explore_hash_hits" st.Explore.hash_hits;
-    count "exsel_explore_hash_misses" st.Explore.hash_misses;
-    Obs_metrics.set_gauge
-      (Obs_metrics.gauge reg "exsel_explore_max_depth" ~labels)
-      st.Explore.max_depth;
-    Obs_metrics.set_gauge
-      (Obs_metrics.gauge reg "exsel_explore_truncated" ~labels)
-      (if outcome.Explore.truncated then 1 else 0);
-    let depth_h = Obs_metrics.histogram reg "exsel_explore_path_depth" ~labels in
-    List.iter
-      (fun (d, c) ->
-        for _ = 1 to c do
-          Obs_metrics.observe depth_h d
-        done)
-      st.Explore.depth_histogram;
-    emit em
-      (Json.Obj
-         [
-           ("event", Json.String "done");
-           ("paths", Json.Int outcome.Explore.paths);
-           ("states", Json.Int outcome.Explore.states);
-           ("truncated", Json.Bool outcome.Explore.truncated);
-           ("violation", Json.Bool (outcome.Explore.failure <> None));
-           ("metrics", Obs_metrics.summary_json reg);
-         ]);
-    Option.iter close_out events_oc;
-    (match (metrics_oc, metrics_out) with
-    | Some oc, Some path -> write_openmetrics oc path reg
-    | _ -> ());
-    if exit_code <> 0 then exit exit_code
+  (* the adapter's instance and claim check, as a conformance cell at
+     seed 1 with the exact steps budget builds them *)
+  let init, check =
+    Runner.explorable
+      (adapter.Conf_adapter.make ~seed:1 ~k:contenders ~steps_multiple:1.0)
   in
-  match target with
-  | "compete" -> drive ~init:init_compete ~check:check_compete
-  | "splitter" -> drive ~init:init_splitter ~check:check_splitter
-  | "race" -> drive ~init:init_race ~check:check_race
-  | other ->
-      Printf.eprintf "unknown target %S (compete|splitter|race)\n" other;
-      exit 2
+  emit em
+    (Json.Obj
+       [
+         ("schema", Json.String "exsel-events/1");
+         ("event", Json.String "start");
+         ("kind", Json.String "explore");
+         ("target", Json.String target);
+         ("contenders", Json.Int contenders);
+         ("max_crashes", Json.Int crashes);
+         ("reduction", Json.String (if reduce then "sleep_sets" else "none"));
+         ("max_paths", Json.Int max_paths);
+       ]);
+  (* Live path counts are shard-local increments folded into one atomic
+     total: approximate while running under -j N (see Explore.run), so
+     the progress lines are the one part of the stream that is not
+     jobs-deterministic — the done line reports the exact outcome. *)
+  let total_paths = Atomic.make 0 in
+  let on_progress d =
+    let t = Atomic.fetch_and_add total_paths d + d in
+    emit em
+      (Json.Obj
+         [ ("event", Json.String "explore_progress"); ("paths", Json.Int t) ])
+  in
+  let outcome =
+    Explore.run ~max_crashes:crashes ~max_paths ~reduction ~jobs ~on_progress
+      ~init ~check ()
+  in
+  Printf.printf "model-checked %s with %d contenders (crashes<=%d, reduction=%b)\n"
+    target contenders crashes reduce;
+  Printf.printf "paths: %d  decisions: %d  truncated: %b\n" outcome.Explore.paths
+    outcome.Explore.states outcome.Explore.truncated;
+  let st = outcome.Explore.stats in
+  Printf.printf
+    "effort: max-depth %d  replays %d  sleep-prunes %d  hash hits/misses %d/%d\n"
+    st.Explore.max_depth st.Explore.replays st.Explore.sleep_prunes
+    st.Explore.hash_hits st.Explore.hash_misses;
+  let failure_json, exit_code =
+    match outcome.Explore.failure with
+    | None ->
+        if outcome.Explore.truncated then begin
+          Printf.printf
+            "no violation in the first %d schedules (exploration truncated)\n"
+            outcome.Explore.paths;
+          (Json.Null, 3)
+        end
+        else begin
+          Printf.printf "invariant holds on every explored schedule\n";
+          (Json.Null, 0)
+        end
+    | Some (msg, sched) ->
+        Printf.printf "VIOLATION: %s\n" msg;
+        Printf.printf "schedule (%d choices):\n" (List.length sched);
+        List.iter (fun c -> Printf.printf "  %s\n" (choice_str c)) sched;
+        let final_sched, shrunk =
+          if do_shrink then begin
+            let s = Explore.shrink ~init ~check sched in
+            Printf.printf "shrunk to %d choices:\n" (List.length s);
+            List.iter (fun c -> Printf.printf "  %s\n" (choice_str c)) s;
+            (s, true)
+          end
+          else (sched, false)
+        in
+        (* the shrunk schedule needs a fresh trace capture; the original
+           schedule's trace rode along in the outcome *)
+        let events =
+          if shrunk then begin
+            let _ctx, rt = init () in
+            let tr = Trace.attach rt in
+            Explore.replay rt final_sched;
+            Trace.events tr
+          end
+          else outcome.Explore.failure_trace
+        in
+        let label = Printf.sprintf "%s x%d: %s" target contenders msg in
+        (match trace_file with
+        | Some path ->
+            Trace_export.write_file path (Trace_export.to_json ~label events);
+            Printf.printf "wrote %s\n" path
+        | None -> ());
+        (match chrome_file with
+        | Some path ->
+            Trace_export.write_file path
+              (Trace_export.chrome ~us_per_commit events);
+            Printf.printf "wrote %s (open at ui.perfetto.dev)\n" path
+        | None -> ());
+        ( Json.Obj
+            [
+              ("message", Json.String msg);
+              ("original_length", Json.Int (List.length sched));
+              ("shrunk", Json.Bool shrunk);
+              ( "schedule",
+                Json.List (List.map (fun c -> Json.String (choice_str c)) final_sched)
+              );
+              ("trace", Trace_export.to_json ~label events);
+            ],
+          1 )
+  in
+  (match json_file with
+  | Some path ->
+      let doc =
+        Json.Obj
+          [
+            ("schema", Json.String "exsel-explore/1");
+            ("target", Json.String target);
+            ("contenders", Json.Int contenders);
+            ("max_crashes", Json.Int crashes);
+            ( "reduction",
+              Json.String (if reduce then "sleep_sets" else "none") );
+            ("paths", Json.Int outcome.Explore.paths);
+            ("states", Json.Int outcome.Explore.states);
+            ("truncated", Json.Bool outcome.Explore.truncated);
+            ("stats", stats_json st);
+            ("failure", failure_json);
+          ]
+      in
+      Trace_export.write_file path doc;
+      Printf.printf "wrote %s\n" path
+  | None -> ());
+  (* Explorer effort counters as a registry: prune rates and the path
+     depth distribution (rebuilt from the exact depth histogram, so the
+     exposition is jobs-deterministic even though progress lines are
+     not). *)
+  let reg = Obs_metrics.create () in
+  let labels = [ ("target", target) ] in
+  let count name v = Obs_metrics.inc (Obs_metrics.counter reg name ~labels) v in
+  count "exsel_explore_paths" outcome.Explore.paths;
+  count "exsel_explore_states" outcome.Explore.states;
+  count "exsel_explore_replays" st.Explore.replays;
+  count "exsel_explore_sleep_prunes" st.Explore.sleep_prunes;
+  count "exsel_explore_hash_hits" st.Explore.hash_hits;
+  count "exsel_explore_hash_misses" st.Explore.hash_misses;
+  Obs_metrics.set_gauge
+    (Obs_metrics.gauge reg "exsel_explore_max_depth" ~labels)
+    st.Explore.max_depth;
+  Obs_metrics.set_gauge
+    (Obs_metrics.gauge reg "exsel_explore_truncated" ~labels)
+    (if outcome.Explore.truncated then 1 else 0);
+  let depth_h = Obs_metrics.histogram reg "exsel_explore_path_depth" ~labels in
+  List.iter
+    (fun (d, c) ->
+      for _ = 1 to c do
+        Obs_metrics.observe depth_h d
+      done)
+    st.Explore.depth_histogram;
+  emit em
+    (Json.Obj
+       [
+         ("event", Json.String "done");
+         ("paths", Json.Int outcome.Explore.paths);
+         ("states", Json.Int outcome.Explore.states);
+         ("truncated", Json.Bool outcome.Explore.truncated);
+         ("violation", Json.Bool (outcome.Explore.failure <> None));
+         ("metrics", Obs_metrics.summary_json reg);
+       ]);
+  Option.iter close_out events_oc;
+  (match (metrics_oc, metrics_out) with
+  | Some oc, Some path -> write_openmetrics oc path reg
+  | _ -> ());
+  if exit_code <> 0 then exit exit_code
 
 (* ------------------------------------------------------------------ *)
 (* experiments subcommand                                              *)
@@ -905,9 +860,8 @@ let run_experiments only json =
         let id = String.uppercase_ascii id in
         match List.filter (fun (i, _) -> i = id) E.all_named with
         | [] ->
-            Printf.eprintf "unknown experiment id %S; valid ids: %s\n" id
-              (String.concat " " (List.map fst E.all_named));
-            exit 2
+            usage "unknown experiment id %S; valid ids: %s" id
+              (String.concat " " (List.map fst E.all_named))
         | sel -> sel)
   in
   check_outputs [ json ];
@@ -923,7 +877,6 @@ let run_experiments only json =
 (* Campaigns: conformance, service, workload                           *)
 (* ------------------------------------------------------------------ *)
 
-module Conf_adapter = Exsel_conformance.Adapter
 module Conf_regime = Exsel_conformance.Regime
 module Campaign = Exsel_conformance.Campaign
 module Service_core = Exsel_service.Core
@@ -946,9 +899,7 @@ type campaign = {
 let campaign_seeds c =
   match Campaign.seeds_of_string c.seeds with
   | Ok seeds -> seeds
-  | Error msg ->
-      Printf.eprintf "--seeds %s: %s\n" c.seeds msg;
-      exit 2
+  | Error msg -> usage "--seeds %s: %s" c.seeds msg
 
 let ids_or_exit2 ~what ~find ~ids ~all = function
   | [] -> all
@@ -958,9 +909,8 @@ let ids_or_exit2 ~what ~find ~ids ~all = function
           match find id with
           | Some x -> x
           | None ->
-              Printf.eprintf "unknown %s %S; valid ids: %s\n" what id
-                (String.concat " " (ids ()));
-              exit 2)
+              usage "unknown %s %S; valid ids: %s" what id
+                (String.concat " " (ids ())))
         l
 
 (* The one path that runs a campaign.  -j, the time scale and every
@@ -1006,9 +956,7 @@ let run_conformance algos regimes adversary k steps_multiple max_commits
       (fun expr ->
         match Conf_regime.of_string expr with
         | Ok r -> r
-        | Error msg ->
-            Printf.eprintf "--adversary %S: %s\n" expr msg;
-            exit 2)
+        | Error msg -> usage "--adversary %S: %s" expr msg)
       adversary
   in
   let regimes =
@@ -1017,10 +965,8 @@ let run_conformance algos regimes adversary k steps_multiple max_commits
     | rs -> rs
   in
   let seeds = campaign_seeds c in
-  if k < 2 then begin
-    Printf.eprintf "--k must be at least 2\n";
-    exit 2
-  end;
+  check_at_least_two ("--k", k);
+  List.iter (fun a -> check_name_space ~flag:"--k" a k) algos;
   let cfg =
     {
       Campaign.algos;
@@ -1062,28 +1008,17 @@ let service_config backend domains shards cap rounds entry max_commits
   let backend =
     match backend with
     | "sim" ->
-        if domains <> None then begin
-          Printf.eprintf "--domains only applies to --backend native\n";
-          exit 2
-        end;
+        if domains <> None then usage "--domains only applies to --backend native";
         Drive.Sim
     | "native" -> Drive.Native { domains = Option.value domains ~default:4 }
-    | other ->
-        Printf.eprintf "unknown backend %S; valid: sim, native\n" other;
-        exit 2
+    | other -> usage "unknown backend %S; valid: sim, native" other
   in
-  if backend <> Drive.Sim && c.chrome <> None then begin
-    Printf.eprintf
-      "--chrome only applies to --backend sim (traces are commit-clock)\n";
-    exit 2
-  end;
+  if backend <> Drive.Sim && c.chrome <> None then
+    usage "--chrome only applies to --backend sim (traces are commit-clock)";
   let entry =
     match Service_core.entry_algo_of_string entry with
     | Some e -> e
-    | None ->
-        Printf.eprintf "unknown entry renamer %S; valid: efficient, adaptive\n"
-          entry;
-        exit 2
+    | None -> usage "unknown entry renamer %S; valid: efficient, adaptive" entry
   in
   let seeds = campaign_seeds c in
   let adversary =
@@ -1091,9 +1026,7 @@ let service_config backend domains shards cap rounds entry max_commits
       (fun expr ->
         match Exsel_adversary.Dsl.parse expr with
         | Ok e -> e
-        | Error msg ->
-            Printf.eprintf "--adversary %S: %s\n" expr msg;
-            exit 2)
+        | Error msg -> usage "--adversary %S: %s" expr msg)
       adversary
   in
   ({ Drive.shards; cap; rounds; entry; seeds; backend; max_commits; adversary }, c)
@@ -1104,9 +1037,7 @@ let service_config backend domains shards cap rounds entry max_commits
 let run_load c ~validate ~start ~run ~event ~pp ~to_json ~showcase =
   (match validate with
   | Ok () -> ()
-  | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2);
+  | Error msg -> usage "%s" msg);
   run_campaign c ~start ~run ~event ~done_:Drive.done_event ~pp ~to_json
     ~metrics:(fun r -> r.Drive.r_metrics)
     ~violations:(fun r -> r.Drive.r_violations)
@@ -1179,12 +1110,9 @@ let procs_t =
 let crash_t =
   let crash_conv =
     let parse s =
-      match String.split_on_char '@' s with
-      | [ pid; commit ] -> (
-          match (int_of_string_opt pid, int_of_string_opt commit) with
-          | Some p, Some c -> Ok (c, p)
-          | _ -> Error (`Msg "expected PID@COMMIT"))
-      | _ -> Error (`Msg "expected PID@COMMIT")
+      match List.map int_of_string_opt (String.split_on_char '@' s) with
+      | [ Some p; Some c ] when p >= 0 && c >= 0 -> Ok (c, p)
+      | _ -> Error (`Msg "expected PID@COMMIT, two non-negative integers")
     in
     Arg.conv (parse, fun ppf (c, p) -> Format.fprintf ppf "%d@%d" p c)
   in
@@ -1192,11 +1120,14 @@ let crash_t =
 
 let algo_t =
   Arg.(
-    value
-    & opt algo_conv Adaptive
+    value & opt string "adaptive"
     & info [ "algo" ] ~docv:"ALGO"
         ~doc:
-          "Algorithm: ma, snapshot, majority, basic, polylog, efficient, almost-adaptive, adaptive, chain.")
+          "Algorithm: ma, snapshot, majority, basic, polylog, efficient, \
+           almost-adaptive, adaptive, chain.  With rename --backend \
+           native: any conformance adapter id (compete, ma, attiya, \
+           majority, basic, polylog, efficient, almost-adaptive, adaptive, \
+           buggy-ma); moir-anderson and snapshot stand for ma and attiya.")
 
 let profile_t =
   Arg.(
@@ -1269,9 +1200,9 @@ let backend_t =
         ~doc:
           "Substrate to run on: $(b,sim) (the deterministic simulator; \
            default) or $(b,native) (real Atomic.t registers on OCaml 5 \
-           domains; supports --algo ma, efficient and adaptive, sizes the \
-           instance from --procs, and checks the paper's claims post hoc \
-           on the decision log).")
+           domains; runs any conformance adapter's own instance, ids and \
+           seeds, sizes it from --procs, and checks the adapter's claims \
+           post hoc on the decision log).")
 
 let domains_t =
   Arg.(
@@ -1343,9 +1274,9 @@ let msgrename_cmd =
   Cmd.v (Cmd.info "msgrename" ~doc) Term.(const run_msgrename $ n_t $ f_t $ crashed $ seed_t)
 
 let explore_cmd =
-  let doc = "model-check a primitive over every schedule of a small instance" in
-  let target = Arg.(value & pos 0 string "compete" & info [] ~docv:"TARGET" ~doc:"compete, splitter, or race (a deliberately buggy counter).") in
-  let contenders = Arg.(value & opt int 2 & info [ "contenders" ] ~docv:"K" ~doc:"Concurrent contenders.") in
+  let doc = "model-check an algorithm's claims over every schedule of a small instance" in
+  let target = Arg.(value & pos 0 string "compete" & info [] ~docv:"TARGET" ~doc:"A conformance adapter id: compete, ma, attiya, majority, basic, polylog, efficient, almost-adaptive, adaptive, or buggy-ma (the negative control, which violates exclusiveness).  The instance is the adapter's at seed 1, checked against its claims with the exact steps budget.") in
+  let contenders = Arg.(value & opt int 2 & info [ "contenders" ] ~docv:"K" ~doc:"Concurrent contenders (at least 2).") in
   let crashes = Arg.(value & opt int 0 & info [ "crashes" ] ~docv:"C" ~doc:"Crash decisions allowed per schedule.") in
   let reduce = Arg.(value & flag & info [ "reduce" ] ~doc:"Enable sleep-set partial-order reduction.") in
   let shrink = Arg.(value & flag & info [ "shrink" ] ~doc:"Minimize the counterexample schedule (ddmin) before reporting it.") in

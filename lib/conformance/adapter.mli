@@ -1,4 +1,7 @@
-(** Algorithm adapters: every renaming algorithm behind one runner shape.
+(** Algorithm adapters: every renaming algorithm behind one runner shape,
+    and the one place its instance is built.  The instance is a {!BUILD}
+    functor over the backend, so the campaigns, [exsel explore] and the
+    native harness run the same instance on their own substrate.
 
     Each adapter wraps one algorithm as a {!Runner.spec} factory: given a
     seed, a contention [k] and a steps tolerance, it deterministically
@@ -28,11 +31,32 @@
     race removed), which assigns duplicate names under contention.  The
     campaigns must catch it — see [test_conformance.ml]. *)
 
+type built = {
+  rename : me:int -> int option;  (** one contender's operation *)
+  name_bound : int;  (** claimed exclusive upper bound on names *)
+  steps_budget : float;  (** local steps per process, before [steps_multiple] *)
+}
+
+(** An instance, written once over any backend: its seeds, register names
+    and budgets do not depend on [B], so the simulator, the explorer and
+    native domains run the same instance. *)
+module type BUILD = functor (B : Exsel_backend.Intf.S) -> sig
+  val build : seed:int -> k:int -> B.memory -> built
+end
+
 type t = {
   id : string;  (** CLI-stable identifier, e.g. ["efficient"] *)
   claim : string;  (** paper claim exercised, e.g. ["Theorem 2"] *)
   honest : bool;  (** [false] for the negative-control target *)
+  completion : Exsel_backend.Claims.completion;
+  max_k : int;
+      (** most contenders the original-name space admits ([max_int] when
+          ids are unbounded) *)
+  ids : seed:int -> k:int -> int array;  (** the contenders' original names *)
+  build : (module BUILD);
   make : seed:int -> k:int -> steps_multiple:float -> Runner.spec;
+      (** [build] on the simulator, [k] contenders on [ids], checked
+          against [completion] *)
 }
 
 val all : t list

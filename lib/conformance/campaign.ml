@@ -111,11 +111,7 @@ let analyse cfg (adapter : Adapter.t) (regime : Regime.t) ~seed
   let spec =
     adapter.Adapter.make ~seed ~k:cfg.k ~steps_multiple:cfg.steps_multiple
   in
-  let init () =
-    let i = spec.Runner.init () in
-    (i, i.Runner.runtime)
-  in
-  let check i _rt = i.Runner.check () in
+  let init, check = Runner.explorable spec in
   let shrunk, shrunk_failure =
     if cfg.shrink && not (is_liveness failure) then begin
       let s = Explore.shrink ~init ~check outcome.Runner.schedule in

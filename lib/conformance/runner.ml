@@ -12,6 +12,13 @@ type spec = {
   init : unit -> instance;
 }
 
+let explorable spec =
+  let init () =
+    let i = spec.init () in
+    (i, i.runtime)
+  in
+  (init, fun i _rt -> i.check ())
+
 type decision = Commit of Runtime.proc | Crash of Runtime.proc
 
 type driver = Runtime.t -> decision option

@@ -30,6 +30,14 @@ type spec = {
           the same execution *)
 }
 
+val explorable :
+  spec ->
+  (unit -> instance * Exsel_sim.Runtime.t)
+  * (instance -> Exsel_sim.Runtime.t -> (unit, string) result)
+(** [spec] as the [~init]/[~check] pair {!Exsel_sim.Explore.run},
+    [Explore.shrink] and [Explore.replay] take: the context is the
+    instance, and the check is its claim check. *)
+
 type decision =
   | Commit of Exsel_sim.Runtime.proc
       (** commit this runnable process's pending operation *)

@@ -1,26 +1,13 @@
-module R = Exsel_renaming
+module Adapter = Exsel_conformance.Adapter
 module Claims = Exsel_backend.Claims
 module Metrics = Exsel_obs.Metrics
 module Trace_export = Exsel_obs.Trace_export
-module Rng = Exsel_sim.Rng
-
-type algo = Ma | Efficient | Adaptive
-
-let algo_name = function
-  | Ma -> "ma"
-  | Efficient -> "efficient"
-  | Adaptive -> "adaptive"
-
-let algo_of_string = function
-  | "ma" -> Some Ma
-  | "efficient" -> Some Efficient
-  | "adaptive" -> Some Adaptive
-  | _ -> None
 
 type reg_stat = { rs_name : string; rs_reads : int; rs_writes : int }
 
 type run = {
   algo : string;
+  completion : Claims.completion;
   n : int;
   domains : int;
   seed : int;
@@ -44,49 +31,7 @@ let ns_to_int ns =
   else if Int64.compare ns (Int64.of_int max_int) > 0 then max_int
   else Int64.to_int ns
 
-(* Original names mirror the conformance adapters' conventions (strides
-   keep them arbitrary — never usable as indices), so a native run and a
-   sim run of the same algorithm face the same identifier stream. *)
-let ids_for algo n =
-  match algo with
-  | Ma -> Array.init n (fun i -> 100 + (37 * i))
-  | Efficient -> Array.init n (fun i -> 1000 + (37 * i))
-  | Adaptive -> Array.init n (fun i -> 5000 + (101 * i))
-
 module Probed = Probe_backend.Make (Backend)
-
-(* Instance construction happens on the calling domain, before any worker
-   starts; rng seeding matches the adapters so the sampled expanders are
-   the ones the conformance campaigns certified.  The functor lets the
-   same construction target the plain backend (the fast path bench
-   baselines gate) and the probe-instrumented one (the CLI's
-   observability surfaces). *)
-module Algos (B : Exsel_backend.Intf.S) = struct
-  module MA = R.Moir_anderson.Make (B)
-  module Eff = R.Efficient_rename.Make (B)
-  module Ada = R.Adaptive_rename.Make (B)
-
-  let build algo ~seed ~n (mem : B.memory) =
-    match algo with
-    | Ma ->
-        let ma = MA.create mem ~name:"ma" ~side:n in
-        ( (fun ~me -> MA.rename ma ~me),
-          R.Moir_anderson.max_name_bound ~contenders:n )
-    | Efficient ->
-        let e =
-          Eff.create ~rng:(Rng.create ~seed:(seed * 5)) mem ~name:"ef" ~k:n
-        in
-        ((fun ~me -> Eff.rename e ~me), Eff.names e)
-    | Adaptive ->
-        let a =
-          Ada.create ~rng:(Rng.create ~seed:(seed * 17)) mem ~name:"ad" ~n
-        in
-        ( (fun ~me -> Some (Ada.rename a ~me)),
-          R.Adaptive_rename.name_bound_for_contention ~k:n )
-end
-
-module Plain = Algos (Backend)
-module Probe = Algos (Probed)
 
 (* One engine execution: spawn a task per id, run the pool, return the
    decision log, per-task latencies and the engine's flight record. *)
@@ -116,29 +61,40 @@ let drive ~rename ~ids ~domains =
   in
   (names, latency_ns, tl)
 
-let run_plain ~algo ~n ~domains ~seed ids =
+(* Instance construction happens on the calling domain, before any worker
+   starts, through the adapter's own builder: the ids, seeds and register
+   names are the ones the conformance campaigns run on the simulator.
+   The plain backend is the fast path bench baselines gate; the probed
+   one feeds the CLI's observability surfaces. *)
+let run_plain (algo : Adapter.t) ~n ~domains ~seed ids =
+  let module Build = (val algo.Adapter.build) in
+  let module A = Build (Backend) in
   let mem = Backend.create () in
-  let rename, bound = Plain.build algo ~seed ~n mem in
-  let names, latency_ns, tl = drive ~rename ~ids ~domains in
-  (names, latency_ns, tl, bound, Backend.registers mem, [])
+  let b = A.build ~seed ~k:n mem in
+  let names, latency_ns, tl = drive ~rename:b.Adapter.rename ~ids ~domains in
+  (names, latency_ns, tl, b.Adapter.name_bound, Backend.registers mem, [])
 
-let run_probed ~algo ~n ~domains ~seed ids =
+let run_probed (algo : Adapter.t) ~n ~domains ~seed ids =
+  let module Build = (val algo.Adapter.build) in
+  let module A = Build (Probed) in
   let mem = Probed.wrap (Backend.create ()) in
-  let rename, bound = Probe.build algo ~seed ~n mem in
-  let names, latency_ns, tl = drive ~rename ~ids ~domains in
+  let b = A.build ~seed ~k:n mem in
+  let names, latency_ns, tl = drive ~rename:b.Adapter.rename ~ids ~domains in
   let stats =
     List.map
       (fun (name, reads, writes) ->
         { rs_name = name; rs_reads = reads; rs_writes = writes })
       (Probed.counts mem)
   in
-  (names, latency_ns, tl, bound, Probed.registers mem, stats)
+  (names, latency_ns, tl, b.Adapter.name_bound, Probed.registers mem, stats)
 
 let run ?(warmup = 0) ?(probe = false) ~algo ~n ~domains ~seed () =
   if n <= 0 then invalid_arg "Harness.run: n must be positive";
+  if n > algo.Adapter.max_k then
+    invalid_arg "Harness.run: n exceeds the adapter's original-name space";
   if domains <= 0 then invalid_arg "Harness.run: domains must be positive";
   if warmup < 0 then invalid_arg "Harness.run: warmup must be non-negative";
-  let ids = ids_for algo n in
+  let ids = algo.Adapter.ids ~seed ~k:n in
   (* Warmup runs are complete throwaway campaigns on the plain backend:
      they warm code paths, the allocator and CPU frequency scaling, and
      start the engine's helper domains, so start-up stays out of the
@@ -149,17 +105,18 @@ let run ?(warmup = 0) ?(probe = false) ~algo ~n ~domains ~seed () =
     else begin
       let w0 = Monotonic_clock.now () in
       for _ = 1 to warmup do
-        ignore (run_plain ~algo ~n ~domains ~seed ids)
+        ignore (run_plain algo ~n ~domains ~seed ids)
       done;
       Int64.sub (Monotonic_clock.now ()) w0
     end
   in
   let names, latency_ns, tl, bound, registers, reg_stats =
-    if probe then run_probed ~algo ~n ~domains ~seed ids
-    else run_plain ~algo ~n ~domains ~seed ids
+    if probe then run_probed algo ~n ~domains ~seed ids
+    else run_plain algo ~n ~domains ~seed ids
   in
   {
-    algo = algo_name algo;
+    algo = algo.Adapter.id;
+    completion = algo.Adapter.completion;
     n;
     domains;
     seed;
@@ -184,9 +141,9 @@ let hot_registers r =
     r.reg_stats
 
 (* Post-hoc claim checking against the recorded decision log: same
-   checker the conformance adapters run, minus the steps budget (no
-   commit clock on real domains) and minus crash faults (domains are not
-   crashed mid-flight; every task runs to completion). *)
+   checker and completion rule the conformance adapter runs, minus the
+   steps budget (no commit clock on real domains) and minus crash faults
+   (domains are not crashed mid-flight; every task runs to completion). *)
 let check r =
   let outcomes =
     Array.mapi
@@ -199,7 +156,7 @@ let check r =
         })
       r.names
   in
-  Claims.check ~completion:Claims.All_named ~k:r.n ~outcomes ~bound:r.bound ()
+  Claims.check ~completion:r.completion ~k:r.n ~outcomes ~bound:r.bound ()
 
 (* Flight record as a wall-clock trace document: every rename span
    attributed to its executing worker, timestamps rebased to the run

@@ -1,14 +1,16 @@
-(** Native rename campaigns: build an algorithm on {!Backend}, run one
-    logical process per contender on the {!Engine} domain pool, record a
-    decision log with wall-clock latencies, and check the paper's claims
-    post hoc.
+(** Native rename campaigns: build any conformance adapter's instance on
+    {!Backend} through the adapter's own builder
+    ({!Exsel_conformance.Adapter.t.build}), run one logical process per
+    contender on the {!Engine} domain pool, record a decision log with
+    wall-clock latencies, and check the adapter's claims post hoc.
 
     The semantic gap to the simulator (DESIGN.md §12): there is no
     commit clock, so step budgets are not checked; there is no crash
-    injection, so completion is always [All_named]; and the claim checks
+    injection, so every task runs to completion; and the claim checks
     run after quiescence against the recorded log rather than inside the
-    scheduler.  Exclusiveness and the name bounds are
-    contention-independent, so they transfer unchanged.
+    scheduler.  Exclusiveness, the name bounds and the adapter's
+    completion rule are contention-independent, so they transfer
+    unchanged.
 
     The flight recorder (DESIGN.md §13) adds three observability layers:
     the engine's per-task/per-domain telemetry rides along in every
@@ -18,14 +20,6 @@
     and {!trace_doc} renders the record as an [exsel-native-trace/1] /
     Chrome document via {!Exsel_obs.Trace_export.Native}. *)
 
-type algo = Ma | Efficient | Adaptive
-
-val algo_name : algo -> string
-(** ["ma"], ["efficient"], ["adaptive"] — matches the conformance
-    adapter ids. *)
-
-val algo_of_string : string -> algo option
-
 type reg_stat = {
   rs_name : string;  (** allocation name ({!Backend.register_names}) *)
   rs_reads : int;
@@ -33,7 +27,8 @@ type reg_stat = {
 }
 
 type run = {
-  algo : string;
+  algo : string;  (** the adapter id *)
+  completion : Exsel_backend.Claims.completion;  (** the adapter's *)
   n : int;  (** contenders (= the algorithm's k, or n for Adaptive) *)
   domains : int;  (** requested pool size (actual: [telemetry.tl_domains]) *)
   seed : int;
@@ -59,14 +54,15 @@ val ns_to_int : int64 -> int
 val run :
   ?warmup:int ->
   ?probe:bool ->
-  algo:algo ->
+  algo:Exsel_conformance.Adapter.t ->
   n:int ->
   domains:int ->
   seed:int ->
   unit ->
   run
-(** Build and execute one native campaign.  [domains] bounds real
-    parallelism; [n] logical processes are work-queued onto the pool.
+(** Build and execute one native campaign of [algo] with [n] contenders
+    on the adapter's ids and seeds.  [domains] bounds real parallelism;
+    the [n] logical processes are work-queued onto the pool.
     [warmup] (default 0) first executes that many complete throwaway
     runs of the same cell — warming code paths, allocator and frequency
     scaling, and starting the calling domain's parked helper domains, so
@@ -74,11 +70,14 @@ val run :
     cost in [warmup_ns].  [probe] (default false) runs the measured
     campaign on the instrumented backend, filling [reg_stats]; leave it
     off for baseline-gated benchmarks.
-    @raise Invalid_argument if [n <= 0], [domains <= 0] or [warmup < 0].
+    @raise Invalid_argument if [n <= 0], [n > algo.max_k],
+    [domains <= 0] or [warmup < 0].
     @raise Engine.Task_failed if a process body raised. *)
 
 val decided : run -> int
-(** Number of processes holding a name ([= n] for these algorithms). *)
+(** Number of processes holding a name: [n] for the wait-free
+    constructions, possibly fewer for majority (Lemma 4's half bound) and
+    compete (at most one winner). *)
 
 val hot_registers : run -> reg_stat list
 (** [reg_stats] ranked by total accesses (reads + writes), hottest
@@ -86,8 +85,9 @@ val hot_registers : run -> reg_stat list
 
 val check : run -> (unit, string) result
 (** The paper's claims over the decision log: termination,
-    exclusiveness, name bound, completion ([All_named]).  [Error msg]
-    carries the same message format the conformance campaigns print. *)
+    exclusiveness, name bound, and completion under the adapter's rule
+    ([r.completion]).  [Error msg] carries the same message format the
+    conformance campaigns print. *)
 
 val trace_doc : ?label:string -> run -> Exsel_obs.Trace_export.Native.doc
 (** The run's flight record as a wall-clock trace document (default

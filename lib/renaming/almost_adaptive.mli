@@ -11,34 +11,43 @@
     unconditional wait-freedom reserve; it is not used in any certified
     run and its use is observable via {!reserve_uses}. *)
 
-type t
+(** The construction over any {!Exsel_backend.Intf.S} substrate. *)
+module type S = sig
+  type memory
+  type t
 
-val create :
-  ?params:Exsel_expander.Params.t ->
-  rng:Exsel_sim.Rng.t ->
-  Exsel_sim.Memory.t ->
-  name:string ->
-  n:int ->
-  inputs:int ->
-  t
-(** [n] is the total number of processes (bounds the doubling); [inputs]
-    is the known bound [N] on original names. *)
+  val create :
+    ?params:Exsel_expander.Params.t ->
+    rng:Exsel_sim.Rng.t ->
+    memory ->
+    name:string ->
+    n:int ->
+    inputs:int ->
+    t
+  (** [n] is the total number of processes (bounds the doubling); [inputs]
+      is the known bound [N] on original names. *)
 
-val levels : t -> int
+  val levels : t -> int
 
-val rename : t -> me:int -> int
-(** Always succeeds (wait-free).  [me] in [0 .. inputs−1]. *)
+  val rename : t -> me:int -> int
+  (** Always succeeds (wait-free).  [me] in [0 .. inputs−1]. *)
 
-val rename_leveled : t -> me:int -> int * int
-(** Name together with the level that served it ([levels t] for the
-    reserve), for adaptivity experiments. *)
+  val rename_leveled : t -> me:int -> int * int
+  (** Name together with the level that served it ([levels t] for the
+      reserve), for adaptivity experiments. *)
 
-val name_bound_for_contention : t -> k:int -> int
-(** Exclusive upper bound on names assigned when the realised contention
-    is [k] (sum of the ranges of levels [0 .. ⌈lg k⌉]) — the paper's
-    "M is a function of k" claim, checkable per run. *)
+  val name_bound_for_contention : t -> k:int -> int
+  (** Exclusive upper bound on names assigned when the realised contention
+      is [k] (sum of the ranges of levels [0 .. ⌈lg k⌉]) — the paper's
+      "M is a function of k" claim, checkable per run. *)
 
-val reserve_uses : t -> int
-(** Number of processes served by the reserve lane so far. *)
+  val reserve_uses : t -> int
+  (** Number of processes served by the reserve lane so far. *)
 
-val registers : t -> int
+  val registers : t -> int
+end
+
+module Make (B : Exsel_backend.Intf.S) : S with type memory = B.memory
+
+include S with type memory = Exsel_sim.Memory.t
+(** The simulator instantiation. *)

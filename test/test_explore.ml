@@ -5,6 +5,16 @@
 
 open Exsel_sim
 module R = Exsel_renaming
+module Adapter = Exsel_conformance.Adapter
+module Runner = Exsel_conformance.Runner
+
+(* An adapter's instance (seed 1, exact steps budget) with its claim
+   check, in the explorer's init/check shape: the same instance the
+   conformance campaigns, [exsel explore] and native domains run. *)
+let adapter_instance id k =
+  match Adapter.find id with
+  | Some a -> Runner.explorable (a.Adapter.make ~seed:1 ~k ~steps_multiple:1.0)
+  | None -> Alcotest.failf "no adapter %S" id
 
 let no_failure label (o : Explore.outcome) =
   (match o.Explore.failure with
@@ -19,63 +29,18 @@ let no_failure label (o : Explore.outcome) =
 (* --- Compete-For-Register: Lemma 1, exhaustively --- *)
 
 let test_compete_exhaustive_two () =
-  let init () =
-    let mem = Memory.create () in
-    let rt = Runtime.create mem in
-    let c = R.Compete.create mem ~name:"c" in
-    let wins = Array.make 2 false in
-    for i = 0 to 1 do
-      ignore
-        (Runtime.spawn rt ~name:(string_of_int i) (fun () ->
-             wins.(i) <- R.Compete.compete c ~me:i))
-    done;
-    (wins, rt)
-  in
-  let check wins _rt =
-    let winners = Array.to_list wins |> List.filter Fun.id |> List.length in
-    if winners > 1 then Error "two winners" else Ok ()
-  in
+  let init, check = adapter_instance "compete" 2 in
   let o = Explore.run ~init ~check () in
   no_failure "compete x2" o;
   (* both interleavings counts: paths = C(ops) — just sanity-check scale *)
   Alcotest.(check bool) "nontrivial path count" true (o.Explore.paths >= 10)
 
 let test_compete_exhaustive_three () =
-  let init () =
-    let mem = Memory.create () in
-    let rt = Runtime.create mem in
-    let c = R.Compete.create mem ~name:"c" in
-    let wins = Array.make 3 false in
-    for i = 0 to 2 do
-      ignore
-        (Runtime.spawn rt ~name:(string_of_int i) (fun () ->
-             wins.(i) <- R.Compete.compete c ~me:i))
-    done;
-    (wins, rt)
-  in
-  let check wins _rt =
-    let winners = Array.to_list wins |> List.filter Fun.id |> List.length in
-    if winners > 1 then Error "two winners" else Ok ()
-  in
+  let init, check = adapter_instance "compete" 3 in
   no_failure "compete x3" (Explore.run ~init ~check ())
 
 let test_compete_exhaustive_with_crash () =
-  let init () =
-    let mem = Memory.create () in
-    let rt = Runtime.create mem in
-    let c = R.Compete.create mem ~name:"c" in
-    let wins = Array.make 2 false in
-    for i = 0 to 1 do
-      ignore
-        (Runtime.spawn rt ~name:(string_of_int i) (fun () ->
-             wins.(i) <- R.Compete.compete c ~me:i))
-    done;
-    (wins, rt)
-  in
-  let check wins _rt =
-    let winners = Array.to_list wins |> List.filter Fun.id |> List.length in
-    if winners > 1 then Error "two winners" else Ok ()
-  in
+  let init, check = adapter_instance "compete" 2 in
   no_failure "compete x2 +crash" (Explore.run ~max_crashes:1 ~init ~check ())
 
 let test_compete_solo_win_all_schedules_of_two_with_crash () =
@@ -162,23 +127,7 @@ let test_splitter_exhaustive_two_with_crash () =
 (* --- Two-splitter MA fragment: exclusive names, exhaustively --- *)
 
 let test_ma_grid_exhaustive_two () =
-  let init () =
-    let mem = Memory.create () in
-    let rt = Runtime.create mem in
-    let ma = R.Moir_anderson.create mem ~name:"ma" ~side:2 in
-    let names = Array.make 2 None in
-    for i = 0 to 1 do
-      ignore
-        (Runtime.spawn rt ~name:(string_of_int i) (fun () ->
-             names.(i) <- R.Moir_anderson.rename ma ~me:i))
-    done;
-    (names, rt)
-  in
-  let check names _rt =
-    match (names.(0), names.(1)) with
-    | Some a, Some b when a = b -> Error "duplicate MA name"
-    | (Some _ | None), (Some _ | None) -> Ok ()
-  in
+  let init, check = adapter_instance "ma" 2 in
   no_failure "ma 2x2 grid" (Explore.run ~init ~check ())
 
 (* --- Snapshot: scan validity on a tiny instance, exhaustively --- *)
@@ -362,24 +311,9 @@ let check_equivalent ?(max_crashes = 0) ~label ~init ~check () =
     (show seed_failure)
     (show rewritten.Explore.failure)
 
-let compete_init n () =
-  let mem = Memory.create () in
-  let rt = Runtime.create mem in
-  let c = R.Compete.create mem ~name:"c" in
-  let wins = Array.make n false in
-  for i = 0 to n - 1 do
-    ignore
-      (Runtime.spawn rt ~name:(string_of_int i) (fun () ->
-           wins.(i) <- R.Compete.compete c ~me:i))
-  done;
-  (wins, rt)
-
-let compete_check wins _rt =
-  let winners = Array.to_list wins |> List.filter Fun.id |> List.length in
-  if winners > 1 then Error "two winners" else Ok ()
-
 let test_equiv_compete_three () =
-  check_equivalent ~label:"compete x3" ~init:(compete_init 3) ~check:compete_check ()
+  let init, check = adapter_instance "compete" 3 in
+  check_equivalent ~label:"compete x3" ~init ~check ()
 
 let test_equiv_splitter_two () =
   check_equivalent ~label:"splitter x2" ~init:(splitter_init 2) ~check:splitter_check ()
@@ -389,13 +323,10 @@ let test_equiv_splitter_three () =
 
 let test_equiv_crash_facet () =
   (* the crash-facet instance: compete x2 under single-crash decisions,
-     including the solo-win invariant, so the counterexample machinery is
-     exercised under [Crash] choices too *)
-  let init () =
-    let wins, rt = compete_init 2 () in
-    (wins, rt)
-  in
-  check_equivalent ~max_crashes:1 ~label:"compete x2 +crash" ~init ~check:compete_check ()
+     so the counterexample machinery is exercised under [Crash] choices
+     too *)
+  let init, check = adapter_instance "compete" 2 in
+  check_equivalent ~max_crashes:1 ~label:"compete x2 +crash" ~init ~check ()
 
 let test_equiv_planted_bug_schedule () =
   (* both engines must report the very same first failing schedule *)
@@ -473,10 +404,8 @@ let test_state_hash_still_finds_violations () =
 let test_state_hash_with_crashes () =
   (* crash budget is part of the memo key, so exclusiveness still holds
      over every single-crash schedule *)
-  let o =
-    Explore.run ~reduction:`State_hash ~max_crashes:1 ~init:(compete_init 2)
-      ~check:compete_check ()
-  in
+  let init, check = adapter_instance "compete" 2 in
+  let o = Explore.run ~reduction:`State_hash ~max_crashes:1 ~init ~check () in
   no_failure "state-hash +crash" o
 
 (* --- Explore plumbing --- *)
@@ -813,7 +742,7 @@ let test_shrink_rejects_passing_schedule () =
      with Invalid_argument _ -> true)
 
 let test_stats_sanity () =
-  let init = compete_init 3 and check = compete_check in
+  let init, check = adapter_instance "compete" 3 in
   let o = Explore.run ~init ~check () in
   let st = o.Explore.stats in
   Alcotest.(check int) "depth histogram sums to paths" o.Explore.paths
@@ -829,9 +758,8 @@ let test_stats_sanity () =
     (st.Explore.hash_hits + st.Explore.hash_misses)
 
 let test_stats_reductions () =
-  let memo =
-    Explore.run ~reduction:`State_hash ~init:(compete_init 3) ~check:compete_check ()
-  in
+  let init, check = adapter_instance "compete" 3 in
+  let memo = Explore.run ~reduction:`State_hash ~init ~check () in
   Alcotest.(check bool) "memo hits recorded" true
     (memo.Explore.stats.Explore.hash_hits > 0);
   Alcotest.(check bool) "memo misses recorded" true

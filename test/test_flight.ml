@@ -56,7 +56,8 @@ let test_harness_trace_doc () =
   (* a real run's flight record: one span per process with its name,
      timestamps inside the window, and it passes the validator *)
   let n = 10 in
-  let r = H.run ~algo:H.Efficient ~n ~domains:3 ~seed:2 () in
+  let algo = Option.get (Exsel_conformance.Adapter.find "efficient") in
+  let r = H.run ~algo ~n ~domains:3 ~seed:2 () in
   let d = H.trace_doc r in
   Alcotest.(check int) "one span per process" n (List.length d.TN.nd_spans);
   Alcotest.(check (list string))

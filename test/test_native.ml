@@ -1,14 +1,15 @@
 (* Tests for the native OCaml 5 backend (DESIGN.md §12): the pure
    decision-log claim checker shared with the conformance adapters, the
    engine and its parked helper domains, register accounting on the atomic
-   backend, cross-validation of every ported renaming algorithm against
-   the paper's claims across several domain counts and repeated trials,
-   and the harness's metrics observation. *)
+   backend, every conformance adapter on real domains against its own
+   claims, ma, efficient and adaptive across several domain counts and
+   repeated trials, and the harness's metrics observation. *)
 
 module Claims = Exsel_backend.Claims
 module Engine = Exsel_native.Engine
 module Backend = Exsel_native.Backend
 module H = Exsel_native.Harness
+module Adapter = Exsel_conformance.Adapter
 module M = Exsel_obs.Metrics
 module Json = Exsel_obs.Json
 module JP = Exsel_testkit.Json_parse
@@ -360,7 +361,13 @@ let test_probe_counts () =
 (* trials, the paper's claims checked on each decision log             *)
 (* ------------------------------------------------------------------ *)
 
-let cross_validate algo =
+let adapter id =
+  match Adapter.find id with
+  | Some a -> a
+  | None -> Alcotest.failf "no adapter %S" id
+
+let cross_validate id =
+  let algo = adapter id in
   let n = 24 in
   List.iter
     (fun domains ->
@@ -384,19 +391,33 @@ let cross_validate algo =
         [ 1; 2 ])
     [ 1; 2; 3 ]
 
-let test_cross_validate_ma () = cross_validate H.Ma
-let test_cross_validate_efficient () = cross_validate H.Efficient
-let test_cross_validate_adaptive () = cross_validate H.Adaptive
+let test_cross_validate_ma () = cross_validate "ma"
+let test_cross_validate_efficient () = cross_validate "efficient"
+let test_cross_validate_adaptive () = cross_validate "adaptive"
 
-let test_algo_names () =
+(* Every adapter runs on real domains through its own builder, and each
+   honest one passes its own claims (majority's half bound, compete's
+   single winner, everyone else named).  The negative control can only
+   race with a second domain: one domain runs the tasks one after another,
+   so every one of them decides.  The one-domain pass goes first, while no
+   helper domain is parked (see the suite order below). *)
+let test_every_adapter () =
+  let n = 3 in
   List.iter
-    (fun (a, s) ->
-      Alcotest.(check string) "name" s (H.algo_name a);
-      match H.algo_of_string s with
-      | Some a' when a' = a -> ()
-      | _ -> Alcotest.failf "algo_of_string %S does not round-trip" s)
-    [ (H.Ma, "ma"); (H.Efficient, "efficient"); (H.Adaptive, "adaptive") ];
-  Alcotest.(check bool) "unknown rejected" true (H.algo_of_string "nope" = None)
+    (fun domains ->
+      List.iter
+        (fun (algo : Adapter.t) ->
+          let r = H.run ~algo ~n ~domains ~seed:1 () in
+          let what = Printf.sprintf "%s domains=%d" algo.Adapter.id domains in
+          Alcotest.(check string) (what ^ " id") algo.Adapter.id r.H.algo;
+          if algo.Adapter.honest then
+            match H.check r with
+            | Ok () -> ()
+            | Error msg -> Alcotest.failf "%s violates a claim: %s" what msg
+          else if domains = 1 then
+            Alcotest.(check int) (what ^ " all decided") n (H.decided r))
+        Adapter.all)
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Harness: clamp, warmup, probing, metrics observation                *)
@@ -415,25 +436,25 @@ let test_ns_to_int_clamp () =
     (H.ns_to_int (Int64.of_int max_int))
 
 let test_harness_warmup () =
-  let r0 = H.run ~algo:H.Ma ~n:8 ~domains:2 ~seed:1 () in
+  let r0 = H.run ~algo:(adapter "ma") ~n:8 ~domains:2 ~seed:1 () in
   Alcotest.(check int) "default no warmup" 0 r0.H.warmup;
   Alcotest.(check bool) "no warmup cost" true (r0.H.warmup_ns = 0L);
-  let r = H.run ~warmup:2 ~algo:H.Ma ~n:8 ~domains:2 ~seed:1 () in
+  let r = H.run ~warmup:2 ~algo:(adapter "ma") ~n:8 ~domains:2 ~seed:1 () in
   Alcotest.(check int) "warmup recorded" 2 r.H.warmup;
   Alcotest.(check bool) "warmup cost measured" true
     (Int64.compare r.H.warmup_ns 0L > 0);
   Alcotest.(check int) "measured run still decides all" 8 (H.decided r);
-  match H.run ~warmup:(-1) ~algo:H.Ma ~n:8 ~domains:1 ~seed:1 () with
+  match H.run ~warmup:(-1) ~algo:(adapter "ma") ~n:8 ~domains:1 ~seed:1 () with
   | _ -> Alcotest.fail "negative warmup should raise"
   | exception Invalid_argument _ -> ()
 
 let test_harness_probe () =
-  let plain = H.run ~algo:H.Ma ~n:8 ~domains:2 ~seed:1 () in
+  let plain = H.run ~algo:(adapter "ma") ~n:8 ~domains:2 ~seed:1 () in
   Alcotest.(check bool) "plain runs record no reg stats" true
     (plain.H.reg_stats = []);
   Alcotest.(check (list (pair int int))) "plain hot ranking empty" []
     (List.map (fun s -> (s.H.rs_reads, s.H.rs_writes)) (H.hot_registers plain));
-  let r = H.run ~probe:true ~algo:H.Ma ~n:8 ~domains:2 ~seed:1 () in
+  let r = H.run ~probe:true ~algo:(adapter "ma") ~n:8 ~domains:2 ~seed:1 () in
   (match H.check r with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "probed run violates a claim: %s" msg);
@@ -465,7 +486,7 @@ let count_sum name counters =
 
 let test_observe_records () =
   let n = 16 in
-  let r = H.run ~algo:H.Ma ~n ~domains:2 ~seed:1 () in
+  let r = H.run ~algo:(adapter "ma") ~n ~domains:2 ~seed:1 () in
   let reg = M.create () in
   H.observe reg r;
   let labels = [ ("algo", "ma"); ("backend", "native") ] in
@@ -486,7 +507,7 @@ let test_observe_records () =
     && count_sum "exsel_register_writes" counters = 0)
 
 let test_observe_probe_registers () =
-  let r = H.run ~probe:true ~algo:H.Ma ~n:8 ~domains:2 ~seed:1 () in
+  let r = H.run ~probe:true ~algo:(adapter "ma") ~n:8 ~domains:2 ~seed:1 () in
   let reg = M.create () in
   H.observe reg r;
   let counters = counters_of reg in
@@ -515,6 +536,10 @@ let () =
           Alcotest.test_case "steps budget optional" `Quick
             test_claims_steps_budget_optional;
         ] );
+      (* before any run parks helper domains: construction allocates
+         heavily, and every parked helper takes part in each minor
+         collection, which the small-minor-heap rerun multiplies *)
+      ("adapters", [ Alcotest.test_case "every adapter" `Quick test_every_adapter ]);
       ( "engine",
         [
           Alcotest.test_case "domains=1 sequential" `Quick
@@ -542,7 +567,6 @@ let () =
           Alcotest.test_case "ma" `Quick test_cross_validate_ma;
           Alcotest.test_case "efficient" `Quick test_cross_validate_efficient;
           Alcotest.test_case "adaptive" `Quick test_cross_validate_adaptive;
-          Alcotest.test_case "algo names" `Quick test_algo_names;
         ] );
       ( "harness",
         [

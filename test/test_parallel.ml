@@ -16,6 +16,7 @@ module Span = Exsel_obs.Span
 module E = Exsel_harness.Experiments
 module Campaign = Exsel_conformance.Campaign
 module Adapter = Exsel_conformance.Adapter
+module Runner = Exsel_conformance.Runner
 module Regime = Exsel_conformance.Regime
 module Json = Exsel_obs.Json
 
@@ -180,7 +181,14 @@ let test_campaign_on_cell_order () =
 (* Explore determinism across jobs                                     *)
 (* ------------------------------------------------------------------ *)
 
-let compete_init n () =
+(* The compete adapter's instance and Lemma 1 claim check. *)
+let compete k =
+  Runner.explorable
+    ((adapter "compete").Adapter.make ~seed:1 ~k ~steps_multiple:1.0)
+
+(* A hand-built Compete instance whose context is the per-contender win
+   flags, for a check the adapter's claim check cannot express. *)
+let compete_wins n () =
   let mem = Memory.create () in
   let rt = Runtime.create mem in
   let c = R.Compete.create mem ~name:"c" in
@@ -203,10 +211,6 @@ let splitter_init n () =
   done;
   ((), rt)
 
-let exclusive wins _rt =
-  let winners = Array.to_list wins |> List.filter Fun.id |> List.length in
-  if winners > 1 then Error "two winners" else Ok ()
-
 let check_outcome_equal label (a : Explore.outcome) (b : Explore.outcome) =
   Alcotest.(check int) (label ^ ": paths") a.Explore.paths b.Explore.paths;
   Alcotest.(check int) (label ^ ": states") a.Explore.states b.Explore.states;
@@ -220,7 +224,8 @@ let check_outcome_equal label (a : Explore.outcome) (b : Explore.outcome) =
   Alcotest.(check bool) (label ^ ": stats") true (a.Explore.stats = b.Explore.stats)
 
 let test_explore_jobs_identical_none () =
-  let run jobs = Explore.run ~jobs ~init:(compete_init 3) ~check:exclusive () in
+  let init, check = compete 3 in
+  let run jobs = Explore.run ~jobs ~init ~check () in
   let reference = run 1 in
   Alcotest.(check bool) "explored" true (reference.Explore.paths > 100);
   List.iter
@@ -235,15 +240,13 @@ let test_explore_jobs_identical_sleep_sets () =
   check_outcome_equal "sleep_sets -j 3" (run 1) (run 3)
 
 let test_explore_jobs_identical_crashes () =
-  let run jobs =
-    Explore.run ~jobs ~max_crashes:1 ~init:(compete_init 2) ~check:exclusive ()
-  in
+  let init, check = compete 2 in
+  let run jobs = Explore.run ~jobs ~max_crashes:1 ~init ~check () in
   check_outcome_equal "crashes -j 2" (run 1) (run 2)
 
 let test_explore_jobs_identical_truncated () =
-  let run jobs =
-    Explore.run ~jobs ~max_paths:500 ~init:(compete_init 3) ~check:exclusive ()
-  in
+  let init, check = compete 3 in
+  let run jobs = Explore.run ~jobs ~max_paths:500 ~init ~check () in
   let reference = run 1 in
   Alcotest.(check bool) "budget expires mid-tree" true reference.Explore.truncated;
   List.iter
@@ -258,7 +261,7 @@ let test_explore_jobs_identical_failure () =
     ignore rt;
     if wins.(1) then Error "contender 1 won" else Ok ()
   in
-  let run jobs = Explore.run ~jobs ~init:(compete_init 2) ~check () in
+  let run jobs = Explore.run ~jobs ~init:(compete_wins 2) ~check () in
   let reference = run 1 in
   Alcotest.(check bool) "failure found" true (reference.Explore.failure <> None);
   List.iter
@@ -267,11 +270,12 @@ let test_explore_jobs_identical_failure () =
     [ 2; 4 ]
 
 let prop_explore_jobs_identical =
-  let reference = lazy (Explore.run ~init:(compete_init 2) ~check:exclusive ()) in
+  let init, check = compete 2 in
+  let reference = lazy (Explore.run ~init ~check ()) in
   QCheck.Test.make ~name:"Explore.run ~jobs = sequential for random jobs" ~count:10
     QCheck.(int_range 2 6)
     (fun jobs ->
-      let o = Explore.run ~jobs ~init:(compete_init 2) ~check:exclusive () in
+      let o = Explore.run ~jobs ~init ~check () in
       let r = Lazy.force reference in
       o.Explore.paths = r.Explore.paths
       && o.Explore.states = r.Explore.states
