@@ -5,19 +5,22 @@ type t = {
   adjacency : int -> int array;
 }
 
+(* An adjacency holds Δ = O(log N) outputs, so a scan is cheaper than
+   hashing.  [w] is typed so that [=] compiles to an integer compare, not
+   a call to the polymorphic one. *)
+let rec occurs (w : int) adj n = n > 0 && (adj.(n - 1) = w || occurs w adj (n - 1))
+
 let validate_adj ~outputs ~degree v adj =
   if Array.length adj <> degree then
     invalid_arg
       (Printf.sprintf "Bipartite: input %d has degree %d, expected %d" v
          (Array.length adj) degree);
-  let seen = Hashtbl.create degree in
-  Array.iter
-    (fun w ->
+  Array.iteri
+    (fun i w ->
       if w < 0 || w >= outputs then
         invalid_arg (Printf.sprintf "Bipartite: edge (%d,%d) out of range" v w);
-      if Hashtbl.mem seen w then
-        invalid_arg (Printf.sprintf "Bipartite: duplicate edge (%d,%d)" v w);
-      Hashtbl.add seen w ())
+      if occurs w adj i then
+        invalid_arg (Printf.sprintf "Bipartite: duplicate edge (%d,%d)" v w))
     adj
 
 let create ~inputs ~outputs ~neighbours =

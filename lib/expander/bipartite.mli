@@ -32,3 +32,7 @@ val neighbours : t -> int -> int array
 
 val edges : t -> int
 (** Total edge count, [inputs * degree]. *)
+
+val occurs : int -> int array -> int -> bool
+(** [occurs w adj n] holds when [w] is one of [adj.(0) .. adj.(n-1)]: the
+    distinctness test of adjacency validation and of {!Gen}'s draws. *)

@@ -9,68 +9,121 @@ let check_distinct xs =
       else Hashtbl.add seen v ())
     xs
 
-(* Count, for every output touched by [xs], how many members are adjacent
-   to it.  Returns the table output -> multiplicity. *)
-let touch_counts g xs =
-  let counts = Hashtbl.create 64 in
-  List.iter
-    (fun v ->
-      Array.iter
-        (fun w ->
-          let c = try Hashtbl.find counts w with Not_found -> 0 in
-          Hashtbl.replace counts w (c + 1))
-        (Bipartite.neighbours g v))
-    xs;
-  counts
+(* Touches are counted in an int array indexed by output, all zeros
+   between subsets.  [touch touches adj d] adds [d] at every output of one
+   member's adjacency. *)
+let touch touches adj d =
+  for i = 0 to Array.length adj - 1 do
+    let w = adj.(i) in
+    touches.(w) <- touches.(w) + d
+  done
+
+(* With a subset's touches in place: the member owns an output that no
+   other member touches. *)
+let has_unique touches adj =
+  let rec go i = i < Array.length adj && (touches.(adj.(i)) = 1 || go (i + 1)) in
+  go 0
+
+let winners touches adjs =
+  List.fold_left (fun n adj -> if has_unique touches adj then n + 1 else n) 0 adjs
+
+let majority touches adjs = 2 * winners touches adjs >= List.length adjs
+
+(* The counting routine: [k ()] runs with the touches of the subset whose
+   member adjacencies are [adjs] in place, and [touches] is all zeros
+   again when it returns. *)
+let counted touches adjs k =
+  List.iter (fun adj -> touch touches adj 1) adjs;
+  let r = k () in
+  List.iter (fun adj -> touch touches adj (-1)) adjs;
+  r
+
+(* One-subset queries fetch each member's adjacency once. *)
+let members g xs =
+  check_distinct xs;
+  (Array.make (Bipartite.outputs g) 0, List.map (Bipartite.neighbours g) xs)
 
 let unique_neighbour_inputs g xs =
-  check_distinct xs;
-  let counts = touch_counts g xs in
-  List.filter
-    (fun v ->
-      Array.exists (fun w -> Hashtbl.find counts w = 1) (Bipartite.neighbours g v))
-    xs
+  let touches, adjs = members g xs in
+  counted touches adjs (fun () ->
+      List.fold_right2
+        (fun v adj acc -> if has_unique touches adj then v :: acc else acc)
+        xs adjs [])
 
 let neighbourhood_size g xs =
-  check_distinct xs;
-  Hashtbl.length (touch_counts g xs)
+  let touches, adjs = members g xs in
+  counted touches adjs (fun () ->
+      Array.fold_left (fun n c -> if c > 0 then n + 1 else n) 0 touches)
 
 let majority_ok g xs =
-  let x = List.length xs in
-  let winners = List.length (unique_neighbour_inputs g xs) in
-  2 * winners >= x
+  let touches, adjs = members g xs in
+  counted touches adjs (fun () -> majority touches adjs)
+
+(* What one [verify_*] call owns: each input's adjacency, drawn the first
+   time the call fetches it, and the touch counter.  Nothing outlives the
+   call, so a graph holds no mutable state and concurrent checks share
+   nothing (DESIGN.md §10). *)
+type scratch = {
+  graph : Bipartite.t;
+  adjacency : int array array;  (* [||] until fetched *)
+  touches : int array;
+}
+
+let scratch g =
+  {
+    graph = g;
+    adjacency = Array.make (Bipartite.inputs g) [||];
+    touches = Array.make (Bipartite.outputs g) 0;
+  }
+
+let neighbours s v =
+  match s.adjacency.(v) with
+  | [||] ->
+      let adj = Bipartite.neighbours s.graph v in
+      s.adjacency.(v) <- adj;
+      adj
+  | adj -> adj
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
 let exhaustive_cost ~inputs ~l =
-  (* sum_{x<=l} (inputs choose x), saturating at max_int *)
+  (* sum_{x<=l} (inputs choose x), exact until it exceeds max_int.  With
+     c = C(inputs, x-1) and g = gcd c x, x/g divides inputs-x+1, so
+     C(inputs, x) = (c/g) * ((inputs-x+1) / (x/g)) is a product of exact
+     factors that overflows only when C(inputs, x) itself does. *)
   let rec go x acc binom =
-    if x > l then acc
+    if x > l || x > inputs then acc
     else
-      let binom =
-        if x = 0 then 1
-        else
-          let num = binom * (inputs - x + 1) in
-          if num < 0 then max_int else num / x
-      in
-      let acc = if acc > max_int - binom then max_int else acc + binom in
-      if binom = max_int then max_int else go (x + 1) acc binom
+      let g = gcd binom x in
+      let a = binom / g and b = (inputs - x + 1) / (x / g) in
+      if a > max_int / b then max_int
+      else
+        let binom = a * b in
+        if acc > max_int - binom then max_int else go (x + 1) (acc + binom) binom
   in
-  go 0 0 1
+  if l < 0 then 0 else go 1 1 1
 
 let verify_exhaustive g ~l =
+  let sc = scratch g in
   let n = Bipartite.inputs g in
   let violation = ref None in
-  (* enumerate subsets of size <= l by recursive choice *)
-  let rec go start chosen size =
+  (* enumerate subsets of size <= l by recursive choice; a member's
+     touches are added on the way down and taken off on the way back, so
+     the counter always holds the current subset's *)
+  let rec go start chosen adjs size =
     match !violation with
     | Some _ -> ()
     | None ->
-        if size > 0 && not (majority_ok g chosen) then violation := Some chosen
+        if size > 0 && not (majority sc.touches adjs) then violation := Some chosen
         else if size < l then
           for v = start to n - 1 do
-            go (v + 1) (v :: chosen) (size + 1)
+            let adj = neighbours sc v in
+            touch sc.touches adj 1;
+            go (v + 1) (v :: chosen) (adj :: adjs) (size + 1);
+            touch sc.touches adj (-1)
           done
   in
-  go 0 [] 0;
+  go 0 [] [] 0;
   match !violation with None -> Ok () | Some xs -> Error xs
 
 let random_subset rng n size =
@@ -79,23 +132,30 @@ let random_subset rng n size =
   Array.to_list (Array.sub all 0 size)
 
 let verify_sampled rng g ~l ~trials =
+  let sc = scratch g in
   let n = Bipartite.inputs g in
   let size = min l n in
   let rec go t =
     if t = 0 then Ok ()
     else
       let xs = random_subset rng n size in
-      if majority_ok g xs then go (t - 1) else Error xs
+      let adjs = List.map (neighbours sc) xs in
+      if counted sc.touches adjs (fun () -> majority sc.touches adjs) then go (t - 1)
+      else Error xs
   in
   go trials
 
 (* Local search: starting from a random subset, repeatedly swap a member for
    an outsider if the swap lowers the unique-neighbour count. *)
 let verify_greedy_adversarial g ~l ~restarts ~seed =
+  let sc = scratch g in
   let n = Bipartite.inputs g in
   let size = min l n in
   let rng = Rng.create ~seed in
-  let score xs = List.length (unique_neighbour_inputs g xs) in
+  let score xs =
+    let adjs = List.map (neighbours sc) xs in
+    counted sc.touches adjs (fun () -> winners sc.touches adjs)
+  in
   let improve xs =
     let best = ref (score xs, xs) in
     let try_swap out_v in_v =
@@ -122,6 +182,6 @@ let verify_greedy_adversarial g ~l ~restarts ~seed =
     else
       let xs = random_subset rng n size in
       let _, worst = descend xs (score xs) 20 in
-      if majority_ok g worst then go (r - 1) else Error worst
+      if 2 * score worst >= List.length worst then go (r - 1) else Error worst
   in
   go restarts

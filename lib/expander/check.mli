@@ -8,7 +8,12 @@
 
     [Check] certifies this property directly: exhaustively over all subsets
     when the search space is small, statistically otherwise (adversarial
-    subsets are also probed by hill-climbing in the test suite). *)
+    subsets are also probed by hill-climbing in the test suite).
+
+    Each [verify_*] call draws an input's adjacency at most once and counts
+    touches in an int array per output.  Both buffers belong to the call:
+    nothing is cached in the graph or between calls, so checks on several
+    domains share nothing. *)
 
 val unique_neighbour_inputs : Bipartite.t -> int list -> int list
 (** [unique_neighbour_inputs g xs] lists the members of [xs] that have at
@@ -29,7 +34,9 @@ val verify_exhaustive : Bipartite.t -> l:int -> (unit, int list) result
     [inputs choose l]; guard with {!exhaustive_cost}. *)
 
 val exhaustive_cost : inputs:int -> l:int -> int
-(** Number of subsets [verify_exhaustive] would enumerate (saturating). *)
+(** Number of subsets [verify_exhaustive] would enumerate, the sum over
+    x ≤ [l] of ([inputs] choose x): exact whenever it is at most
+    [max_int], and [max_int] otherwise. *)
 
 val verify_sampled :
   Exsel_sim.Rng.t -> Bipartite.t -> l:int -> trials:int -> (unit, int list) result

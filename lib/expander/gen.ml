@@ -1,8 +1,10 @@
 module Rng = Exsel_sim.Rng
 
 (* Draw [degree] distinct outputs for one input.  For small degree relative
-   to the range, rejection sampling is cheap; fall back to a partial
-   Fisher-Yates when the degree is a large fraction of the range. *)
+   to the range, rejection sampling is cheap: each draw is checked against
+   the few outputs already chosen.  When the degree is a large fraction of
+   the range, shuffle the whole range and keep its first [degree]
+   entries. *)
 let draw_distinct rng ~degree ~outputs =
   if degree * 3 >= outputs then begin
     let all = Array.init outputs (fun i -> i) in
@@ -10,13 +12,11 @@ let draw_distinct rng ~degree ~outputs =
     Array.sub all 0 degree
   end
   else begin
-    let chosen = Hashtbl.create degree in
     let adj = Array.make degree 0 in
     let filled = ref 0 in
     while !filled < degree do
       let w = Rng.int rng outputs in
-      if not (Hashtbl.mem chosen w) then begin
-        Hashtbl.add chosen w ();
+      if not (Bipartite.occurs w adj !filled) then begin
         adj.(!filled) <- w;
         incr filled
       end

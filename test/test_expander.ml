@@ -47,6 +47,47 @@ let test_sample_deterministic () =
   done;
   Alcotest.(check bool) "same seed, same graph" true !same
 
+(* Seeded graphs whose adjacency is pinned by digest: [Gen.draw_distinct]
+   shuffles the whole output range when Δ is at least a third of it and
+   rejection-samples otherwise, and the shapes below take both branches. *)
+let golden_graphs () =
+  let sampled =
+    List.concat_map
+      (fun (params, inputs, ls) ->
+        List.concat_map
+          (fun l ->
+            List.map
+              (fun seed -> Gen.sample (Rng.create ~seed) params ~inputs ~l)
+              [ 1; 2; 3 ])
+          ls)
+      [
+        (Params.practical, 1024, [ 1; 2; 4; 5; 8; 16 ]);
+        (Params.practical, 96, [ 2; 6 ]);
+        (Params.tight, 256, [ 2; 8 ]);
+      ]
+  in
+  Gen.sample_dims (Rng.create ~seed:9) ~degree:6 ~inputs:100 ~outputs:18
+  :: Gen.sample_dims (Rng.create ~seed:9) ~degree:40 ~inputs:50 ~outputs:30
+  :: sampled
+
+let test_adjacency_golden () =
+  let graphs = golden_graphs () in
+  let shuffled g = 3 * Bipartite.degree g >= Bipartite.outputs g in
+  Alcotest.(check bool) "both draw branches covered" true
+    (List.exists shuffled graphs && List.exists (fun g -> not (shuffled g)) graphs);
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun g ->
+      Printf.bprintf buf "%d/%d/%d:" (Bipartite.inputs g) (Bipartite.outputs g)
+        (Bipartite.degree g);
+      for v = 0 to Bipartite.inputs g - 1 do
+        Array.iter (Printf.bprintf buf "%d,") (Bipartite.neighbours g v);
+        Buffer.add_char buf ';'
+      done)
+    graphs;
+  Alcotest.(check string) "adjacency digest" "b36e1d2c8fcb92baa77144145f2accf8"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_unique_neighbours_hand_graph () =
   (* inputs 0 and 1 share output 0; input 0 uniquely owns 1, input 1 owns 2,
      input 2 owns 3 and 4. *)
@@ -75,10 +116,42 @@ let test_duplicate_subset_rejected () =
     (try ignore (Check.unique_neighbour_inputs g [ 0; 0 ]); false
      with Invalid_argument _ -> true)
 
+(* sum_{x<=l} (n choose x) by Pascal's rule, adding with saturation at
+   max_int: an independent reference for [Check.exhaustive_cost]. *)
+let pascal_cost ~inputs ~l =
+  let add a b = if a > max_int - b then max_int else a + b in
+  let row = Array.make (l + 1) 0 in
+  row.(0) <- 1;
+  for _ = 1 to inputs do
+    for x = l downto 1 do
+      row.(x) <- add row.(x) row.(x - 1)
+    done
+  done;
+  Array.fold_left add 0 row
+
 let test_exhaustive_cost () =
   Alcotest.(check int) "n=4 l=2: 1+4+6" 11 (Check.exhaustive_cost ~inputs:4 ~l:2);
   Alcotest.(check int) "n=10 l=1: 1+10" 11 (Check.exhaustive_cost ~inputs:10 ~l:1);
-  Alcotest.(check bool) "saturates" true (Check.exhaustive_cost ~inputs:500 ~l:250 > 1_000_000)
+  Alcotest.(check int) "l above inputs: 2^n" 32 (Check.exhaustive_cost ~inputs:5 ~l:9);
+  Alcotest.(check bool) "saturates" true (Check.exhaustive_cost ~inputs:500 ~l:250 > 1_000_000);
+  (* a product that wraps to a positive value once gave a finite cost
+     here; the true sum is about 2.9e19 *)
+  Alcotest.(check int) "n=1024 l=8 saturates" max_int
+    (Check.exhaustive_cost ~inputs:1024 ~l:8);
+  (* and a product that wrapped negative saturated a sum of about 5.5e17 *)
+  Alcotest.(check int) "n=64 l=24 is exact" (pascal_cost ~inputs:64 ~l:24)
+    (Check.exhaustive_cost ~inputs:64 ~l:24);
+  Alcotest.(check bool) "n=64 l=24 below max_int" true
+    (Check.exhaustive_cost ~inputs:64 ~l:24 < max_int);
+  List.iter
+    (fun inputs ->
+      for l = 0 to 64 do
+        Alcotest.(check int)
+          (Printf.sprintf "n=%d l=%d" inputs l)
+          (pascal_cost ~inputs ~l)
+          (Check.exhaustive_cost ~inputs ~l)
+      done)
+    [ 1; 2; 7; 24; 63; 64; 65; 100; 128; 160; 300; 528; 1024; 4096 ]
 
 let test_exhaustive_detects_violation () =
   let g =
@@ -123,6 +196,110 @@ let test_majority_random_subsets =
       Rng.shuffle subset_rng all;
       let subset = Array.to_list (Array.sub all 0 l_sub) in
       Check.majority_ok g subset)
+
+(* [Check]'s list and [Hashtbl] counting from before its per-call arrays,
+   kept as the reference the array routine must agree with: same
+   verdicts, same violating subsets, same draws. *)
+module Reference = struct
+  let touch_counts g xs =
+    let counts = Hashtbl.create 64 in
+    List.iter
+      (fun v ->
+        Array.iter
+          (fun w ->
+            let c = try Hashtbl.find counts w with Not_found -> 0 in
+            Hashtbl.replace counts w (c + 1))
+          (Bipartite.neighbours g v))
+      xs;
+    counts
+
+  let unique_neighbour_inputs g xs =
+    let counts = touch_counts g xs in
+    List.filter
+      (fun v ->
+        Array.exists (fun w -> Hashtbl.find counts w = 1) (Bipartite.neighbours g v))
+      xs
+
+  let majority_ok g xs =
+    2 * List.length (unique_neighbour_inputs g xs) >= List.length xs
+
+  let verify_exhaustive g ~l =
+    let n = Bipartite.inputs g in
+    let violation = ref None in
+    let rec go start chosen size =
+      match !violation with
+      | Some _ -> ()
+      | None ->
+          if size > 0 && not (majority_ok g chosen) then violation := Some chosen
+          else if size < l then
+            for v = start to n - 1 do
+              go (v + 1) (v :: chosen) (size + 1)
+            done
+    in
+    go 0 [] 0;
+    match !violation with None -> Ok () | Some xs -> Error xs
+
+  let random_subset rng n size =
+    let all = Array.init n (fun i -> i) in
+    Rng.shuffle rng all;
+    Array.to_list (Array.sub all 0 size)
+
+  let verify_sampled rng g ~l ~trials =
+    let n = Bipartite.inputs g in
+    let size = min l n in
+    let rec go t =
+      if t = 0 then Ok ()
+      else
+        let xs = random_subset rng n size in
+        if majority_ok g xs then go (t - 1) else Error xs
+    in
+    go trials
+end
+
+let verdict = Alcotest.(result unit (list int))
+
+(* The array checks against the reference on one seeded graph; the number
+   of violations the exhaustive check found. *)
+let agree params ~seed ~inputs ~l =
+  let g = Gen.sample (Rng.create ~seed) params ~inputs ~l in
+  let subsets = Rng.create ~seed:(seed + 1) in
+  for size = 1 to min inputs (l + 2) do
+    let xs = Reference.random_subset subsets inputs size in
+    Alcotest.(check bool) "majority_ok" (Reference.majority_ok g xs) (Check.majority_ok g xs);
+    Alcotest.(check (list int)) "unique_neighbour_inputs"
+      (Reference.unique_neighbour_inputs g xs)
+      (Check.unique_neighbour_inputs g xs);
+    Alcotest.(check int) "neighbourhood_size"
+      (Hashtbl.length (Reference.touch_counts g xs))
+      (Check.neighbourhood_size g xs)
+  done;
+  let exhaustive = Check.verify_exhaustive g ~l in
+  Alcotest.check verdict "verify_exhaustive" (Reference.verify_exhaustive g ~l) exhaustive;
+  let sampled = Rng.create ~seed:(seed + 2) and ref_sampled = Rng.create ~seed:(seed + 2) in
+  Alcotest.check verdict "verify_sampled"
+    (Reference.verify_sampled ref_sampled g ~l ~trials:40)
+    (Check.verify_sampled sampled g ~l ~trials:40);
+  Alcotest.(check int64) "verify_sampled leaves the generator where the reference does"
+    (Rng.bits64 ref_sampled) (Rng.bits64 sampled);
+  Result.is_error exhaustive
+
+let test_checks_agree_with_reference =
+  QCheck.Test.make ~name:"array checks agree with list counting on seeded graphs"
+    ~count:60
+    QCheck.(triple small_int (int_range 8 48) (int_range 1 3))
+    (fun (seed, inputs, l) ->
+      ignore (agree Params.practical ~seed ~inputs ~l);
+      ignore (agree Params.tight ~seed ~inputs ~l);
+      true)
+
+let test_tight_violations_agree () =
+  (* tight graphs fail on some subsets: both checks must report the same
+     first violation, not merely both fail *)
+  let failures = ref 0 in
+  for seed = 1 to 20 do
+    if agree Params.tight ~seed ~inputs:40 ~l:3 then incr failures
+  done;
+  Alcotest.(check bool) "some tight graph fails its exhaustive check" true (!failures > 0)
 
 let test_functional_graph_lazy_and_valid () =
   (* a functional graph over a huge input space costs nothing until
@@ -216,6 +393,7 @@ let () =
         [
           Alcotest.test_case "shape" `Quick test_sample_shape;
           Alcotest.test_case "deterministic" `Quick test_sample_deterministic;
+          Alcotest.test_case "adjacency golden" `Quick test_adjacency_golden;
         ] );
       ( "check",
         [
@@ -227,6 +405,8 @@ let () =
           Alcotest.test_case "sampled graph certified" `Quick test_sampled_graph_passes_checks;
           QCheck_alcotest.to_alcotest test_expansion_counts;
           QCheck_alcotest.to_alcotest test_majority_random_subsets;
+          QCheck_alcotest.to_alcotest test_checks_agree_with_reference;
+          Alcotest.test_case "tight violations agree" `Quick test_tight_violations_agree;
         ] );
       ( "lazy-and-presets",
         [
