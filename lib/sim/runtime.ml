@@ -112,9 +112,12 @@ let idx_add t p =
 
 let idx_remove t p =
   if p.rpos >= 0 then begin
-    (* shift left so the index stays pid-sorted; each process is removed
+    (* shift left so the index stays pid-sorted.  Each process is removed
        at most once, so the total shifting work is O(nprocs * nrunnable)
-       per execution — negligible next to the commits it serves *)
+       per execution: negligible next to the commits it serves when
+       processes finish by committing, but quadratic for a caller that
+       crashes many processes in ascending pid order (crash from the top
+       down instead, as the lower-bound adversary does) *)
     for i = p.rpos to t.nrunnable - 2 do
       let q = t.run_idx.(i + 1) in
       t.run_idx.(i) <- q;

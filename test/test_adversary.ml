@@ -186,6 +186,15 @@ let check_equiv name old_make id ~k ~ops ~seeds =
 let seeds = [ 1; 2; 3; 7; 11 ]
 let test_equiv_random () = check_equiv "random" old_random "random" ~k:5 ~ops:12 ~seeds
 
+(* The reproduction tables used to run on [Scheduler.random]; they run
+   on the uniform regime now, which must draw exactly as it does. *)
+let scheduler_random ~seed ~k:_ =
+  let policy = Exsel_sim.Scheduler.random (Rng.create ~seed) in
+  fun rt -> Option.map (fun p -> Runner.Commit p) (policy rt)
+
+let test_equiv_scheduler_random () =
+  check_equiv "Scheduler.random" scheduler_random "random" ~k:5 ~ops:12 ~seeds
+
 let test_equiv_crash_half () =
   check_equiv "crash-half" old_crash_half "crash-half" ~k:5 ~ops:12 ~seeds
 
@@ -565,6 +574,8 @@ let () =
       ( "legacy-equivalence",
         [
           Alcotest.test_case "random" `Quick test_equiv_random;
+          Alcotest.test_case "Scheduler.random" `Quick
+            test_equiv_scheduler_random;
           Alcotest.test_case "crash-half" `Quick test_equiv_crash_half;
           Alcotest.test_case "crash-on-write" `Quick test_equiv_crash_on_write;
           Alcotest.test_case "freeze" `Quick test_equiv_freeze;
