@@ -4,10 +4,6 @@
    Default mode prints the experiment tables T1-T9 and figures F1-F2 with
    simulated local-step counts — the paper's complexity measure.
 
-   --bechamel additionally runs one Bechamel wall-clock benchmark per
-   table/figure (the full experiment as the measured unit) and prints the
-   OLS estimate of its execution time.
-
    --json <file> writes every selected table plus the per-run
    observations (metrics summary, register contention profile, phase-span
    aggregates) as one exsel-bench/1 document — see DESIGN.md §7.
@@ -57,37 +53,6 @@ let write_json only path =
   Report.write_file path entries;
   Printf.printf "wrote %s (%d experiments)\n" path (List.length entries)
 
-let run_bechamel only =
-  let open Bechamel in
-  let tests =
-    List.map
-      (fun (id, f) -> Test.make ~name:id (Staged.stage (fun () -> ignore (f ()))))
-      (selected only)
-  in
-  let grouped = Test.make_grouped ~name:"exsel" tests in
-  let cfg = Benchmark.cfg ~limit:10 ~quota:(Time.second 2.0) ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| "run" |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Printf.printf "== Bechamel wall-clock (one benchmark per table/figure) ==\n";
-  Printf.printf "%-12s  %14s  %8s\n" "experiment" "time/run" "r^2";
-  let rows = Hashtbl.fold (fun name v acc -> (name, v) :: acc) results [] in
-  List.iter
-    (fun (name, v) ->
-      let est =
-        match Analyze.OLS.estimates v with Some (e :: _) -> e | Some [] | None -> nan
-      in
-      let r2 = match Analyze.OLS.r_square v with Some r -> r | None -> nan in
-      let human =
-        if est > 1e9 then Printf.sprintf "%.2f s" (est /. 1e9)
-        else if est > 1e6 then Printf.sprintf "%.2f ms" (est /. 1e6)
-        else Printf.sprintf "%.0f ns" est
-      in
-      Printf.printf "%-12s  %14s  %8.4f\n" name human r2)
-    (List.sort compare rows)
-
 let run_conformance ~json =
   let module C = Exsel_conformance.Campaign in
   let cfg = { C.default with seeds = [ 1; 2 ]; k = 4 } in
@@ -106,19 +71,17 @@ let run_conformance ~json =
 
 let usage_text () =
   Printf.sprintf
-    "usage: %s [--bechamel | --perf | --conformance] [--json <file>]\n\
+    "usage: %s [--perf | --conformance] [--json <file>]\n\
     \       %*s [--baseline <file>] [--only <T1..T9|F1|F2|A1..A3|X1..X3|P1..P9>]\n\
     \       %*s [--p7-max-n <n>] [--warmup <k>]\n\n\
      modes (mutually exclusive):\n\
     \  (default)          print the experiment tables\n\
-    \  --bechamel         wall-clock one Bechamel benchmark per experiment\n\
     \  --perf             run the hot-path microbenchmarks (DESIGN.md \xc2\xa78)\n\
     \  --conformance      run the conformance-campaign smoke (exit 1 on any\n\
     \                     claim violation)\n\n\
      options:\n\
     \  --json <file>      write results as an exsel-bench/1 JSON document\n\
-    \                     (exsel-conformance/1 with --conformance; not\n\
-    \                     --bechamel)\n\
+    \                     (exsel-conformance/1 with --conformance)\n\
     \  --baseline <file>  with --perf: fail (exit 1) if any metric drops\n\
     \                     below half its reference value in <file>\n\
     \  --only <ID>        restrict to one experiment (or, with --perf, one\n\
@@ -144,34 +107,32 @@ let usage_error msg =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let rec parse bech perf conf only json baseline p7_max_n warmup = function
-    | [] -> (bech, perf, conf, only, json, baseline, p7_max_n, warmup)
+  let rec parse perf conf only json baseline p7_max_n warmup = function
+    | [] -> (perf, conf, only, json, baseline, p7_max_n, warmup)
     | ("--help" | "-help" | "-h") :: _ ->
         print_string (usage_text ());
         exit 0
-    | "--bechamel" :: rest ->
-        parse true perf conf only json baseline p7_max_n warmup rest
     | "--perf" :: rest ->
-        parse bech true conf only json baseline p7_max_n warmup rest
+        parse true conf only json baseline p7_max_n warmup rest
     | "--conformance" :: rest ->
-        parse bech perf true only json baseline p7_max_n warmup rest
+        parse perf true only json baseline p7_max_n warmup rest
     | "--only" :: id :: rest ->
-        parse bech perf conf (Some id) json baseline p7_max_n warmup rest
+        parse perf conf (Some id) json baseline p7_max_n warmup rest
     | "--json" :: path :: rest ->
-        parse bech perf conf only (Some path) baseline p7_max_n warmup rest
+        parse perf conf only (Some path) baseline p7_max_n warmup rest
     | "--baseline" :: path :: rest ->
-        parse bech perf conf only json (Some path) p7_max_n warmup rest
+        parse perf conf only json (Some path) p7_max_n warmup rest
     | "--p7-max-n" :: v :: rest -> (
         match int_of_string_opt v with
         | Some n when n > 0 ->
-            parse bech perf conf only json baseline (Some n) warmup rest
+            parse perf conf only json baseline (Some n) warmup rest
         | Some _ | None ->
             usage_error
               (Printf.sprintf "--p7-max-n expects a positive integer (got %S)" v))
     | "--warmup" :: v :: rest -> (
         match int_of_string_opt v with
         | Some k when k >= 0 ->
-            parse bech perf conf only json baseline p7_max_n (Some k) rest
+            parse perf conf only json baseline p7_max_n (Some k) rest
         | Some _ | None ->
             usage_error
               (Printf.sprintf "--warmup expects a non-negative integer (got %S)" v))
@@ -180,13 +141,10 @@ let () =
         usage_error (Printf.sprintf "%s requires an argument" (List.hd flag))
     | arg :: _ -> usage_error (Printf.sprintf "unexpected argument %S" arg)
   in
-  let bech, perf, conf, only, json, baseline, p7_max_n, warmup =
-    parse false false false None None None None None args
+  let perf, conf, only, json, baseline, p7_max_n, warmup =
+    parse false false None None None None None args
   in
-  if (bech && perf) || (bech && conf) || (perf && conf) then
-    usage_error "--bechamel, --perf and --conformance are mutually exclusive";
-  if bech && json <> None then
-    usage_error "--bechamel and --json are mutually exclusive";
+  if perf && conf then usage_error "--perf and --conformance are mutually exclusive";
   if baseline <> None && not perf then usage_error "--baseline requires --perf";
   if p7_max_n <> None && not perf then usage_error "--p7-max-n requires --perf";
   if warmup <> None && not perf then usage_error "--warmup requires --perf";
@@ -196,4 +154,4 @@ let () =
   else
     match json with
     | Some path -> write_json only path
-    | None -> if bech then run_bechamel only else print_tables only
+    | None -> print_tables only

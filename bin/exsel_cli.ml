@@ -3,7 +3,6 @@
    shell with explicit seeds and crash schedules. *)
 
 open Exsel_sim
-module R = Exsel_renaming
 module SD = Exsel_repository.Selfish_deposit
 module AD = Exsel_repository.Altruistic_deposit
 module UN = Exsel_repository.Unbounded_naming
@@ -17,6 +16,7 @@ module Span = Exsel_obs.Span
 module Trace_export = Exsel_obs.Trace_export
 module Conf_adapter = Exsel_conformance.Adapter
 module Runner = Exsel_conformance.Runner
+module Conf_regime = Exsel_conformance.Regime
 (* Exsel_sim.Metrics (per-run summaries) is shadowed by [open Exsel_sim]
    below; the registry subsystem gets an unambiguous alias. *)
 module Obs_metrics = Exsel_obs.Metrics
@@ -105,85 +105,17 @@ let write_openmetrics oc path reg =
 (* rename subcommand                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type algo =
-  | Moir_anderson
-  | Snapshot_renaming
-  | Majority
-  | Basic
-  | Polylog
-  | Efficient
-  | Almost_adaptive
-  | Adaptive
-  | Chain
-
-(* The simulator's algorithms, each with its names, canonical first. *)
-let sim_algos =
-  [
-    (Moir_anderson, [ "ma"; "moir-anderson" ]);
-    (Snapshot_renaming, [ "snapshot"; "attiya" ]);
-    (Majority, [ "majority" ]);
-    (Basic, [ "basic" ]);
-    (Polylog, [ "polylog" ]);
-    (Efficient, [ "efficient" ]);
-    (Almost_adaptive, [ "almost-adaptive" ]);
-    (Adaptive, [ "adaptive" ]);
-    (Chain, [ "chain" ]);
-  ]
-
-let algo_name a = List.hd (List.assoc a sim_algos)
-
-let sim_algo name =
-  match List.find_opt (fun (_, names) -> List.mem name names) sim_algos with
-  | Some (a, _) -> a
-  | None -> usage "--algo: unknown algorithm %S on the simulator" name
-
-(* Returns the rename function together with the instance's name bound M
-   (used by the adversary's stage-budget formula). *)
-let build_renamer algo mem ~k ~n ~n_names ~seed =
-  let rng = Rng.create ~seed in
-  match algo with
-  | Moir_anderson ->
-      let ma = R.Moir_anderson.create mem ~name:"ma" ~side:k in
-      ((fun ~me -> R.Moir_anderson.rename ma ~me), R.Moir_anderson.capacity ma)
-  | Snapshot_renaming ->
-      let a = R.Attiya_renaming.create mem ~name:"at" ~slots:n_names () in
-      ((fun ~me -> R.Attiya_renaming.rename a ~slot:me), (2 * k) - 1)
-  | Majority ->
-      let m = R.Majority.create ~rng mem ~name:"maj" ~l:k ~inputs:n_names in
-      ((fun ~me -> R.Majority.rename m ~me), R.Majority.names m)
-  | Basic ->
-      let b = R.Basic_rename.create ~rng mem ~name:"bas" ~k ~inputs:n_names in
-      ((fun ~me -> R.Basic_rename.rename b ~me), R.Basic_rename.names b)
-  | Polylog ->
-      let p = R.Polylog_rename.create ~rng mem ~name:"pl" ~k ~inputs:n_names in
-      ((fun ~me -> R.Polylog_rename.rename p ~me), R.Polylog_rename.names p)
-  | Efficient ->
-      let e = R.Efficient_rename.create ~rng mem ~name:"ef" ~k in
-      ((fun ~me -> R.Efficient_rename.rename e ~me), R.Efficient_rename.names e)
-  | Almost_adaptive ->
-      let a = R.Almost_adaptive.create ~rng mem ~name:"aa" ~n ~inputs:n_names in
-      ( (fun ~me -> Some (R.Almost_adaptive.rename a ~me)),
-        R.Almost_adaptive.name_bound_for_contention a ~k )
-  | Adaptive ->
-      let a = R.Adaptive_rename.create ~rng mem ~name:"ad" ~n in
-      ( (fun ~me -> Some (R.Adaptive_rename.rename a ~me)),
-        R.Adaptive_rename.name_bound_for_contention ~k )
-  | Chain ->
-      let c = R.Chain_rename.create mem ~name:"ch" ~m:((2 * k) - 1) in
-      ((fun ~me -> R.Chain_rename.rename c ~me), R.Chain_rename.names c)
-
-(* --backend native runs any conformance adapter; the simulator's
-   spellings of ma and attiya are aliases. *)
-let native_adapter name =
+(* rename (on either backend) and adversary take any conformance adapter
+   id; moir-anderson and snapshot stand for ma and attiya. *)
+let adapter_of_name name =
   let id =
     match name with "moir-anderson" -> "ma" | "snapshot" -> "attiya" | s -> s
   in
   match Conf_adapter.find id with
   | Some a -> a
   | None ->
-      usage "--backend native runs the conformance adapters (%s; got %s)"
-        (String.concat ", " (Conf_adapter.ids ()))
-        name
+      usage "--algo: unknown algorithm %S; valid ids: %s" name
+        (String.concat " " (Conf_adapter.ids ()))
 
 (* Native-backend rename: real Atomic.t registers, real domains
    (lib/native), on the adapter's own instance, ids and seeds.  The
@@ -324,8 +256,26 @@ let run_rename_native (algo : Conf_adapter.t) procs seed domains warmup
   | _ -> ());
   if claim <> Ok () then exit 1
 
-let run_rename_sim algo k n n_names procs seed crashes profile json chrome
-    us_per_commit =
+(* --crash plans on top of the uniform regime: each victim crashes just
+   before the global commit its plan names. *)
+let with_crashes plan driver =
+  let plan = ref plan in
+  fun rt ->
+    let now = Runtime.commits rt in
+    match List.partition (fun (c, _) -> c <= now) !plan with
+    | (_, pid) :: due, later ->
+        plan := due @ later;
+        Some (Runner.Crash (Runtime.proc_by_pid rt pid))
+    | [], _ -> driver rt
+
+let status_string p =
+  match Runtime.status p with
+  | Runtime.Done -> "done"
+  | Runtime.Crashed -> "crashed"
+  | Runtime.Runnable -> "runnable"
+
+let run_rename_sim (algo : Conf_adapter.t) k n n_names procs seed crashes
+    profile json chrome us_per_commit =
   List.iter check_positive
     [ ("--contention", k); ("--total", n); ("--names", n_names); ("--procs", procs) ];
   (* the paper's input: distinct original names from [0, --names) *)
@@ -339,39 +289,35 @@ let run_rename_sim algo k n n_names procs seed crashes profile json chrome
     crashes;
   check_us_per_commit us_per_commit;
   check_outputs [ json; chrome ];
-  let mem = Memory.create () in
-  let rt = Runtime.create mem in
-  let rename, _m = build_renamer algo mem ~k ~n ~n_names ~seed in
   let ids = spread ~count:procs ~bound:n_names in
-  let observing = profile || json <> None || chrome <> None in
-  (* span sink before spawning (bodies may open spans at spawn time),
-     probe after, so its initial scan sees the whole pending burst *)
-  let span = if observing then Some (Span.attach rt) else None in
-  let trace = if chrome <> None then Some (Trace.attach rt) else None in
-  let results = Array.make procs None in
-  List.iteri
-    (fun i me ->
-      ignore
-        (Runtime.spawn rt ~name:(Printf.sprintf "p%d" i) (fun () ->
-             results.(i) <- rename ~me)))
-    ids;
-  let probe = if observing then Some (Probe.attach rt) else None in
-  let policy = Scheduler.random (Rng.create ~seed:(seed + 1)) in
-  let policy =
-    if crashes = [] then policy else Scheduler.with_crashes ~crash_at:crashes policy
+  (* span sink and tracer before spawning (bodies may open spans at spawn
+     time), probe after, so its initial scan sees the whole pending burst *)
+  let sinks = ref None in
+  let attach rt =
+    let span = Span.attach rt in
+    let trace = if chrome <> None then Some (Trace.attach rt) else None in
+    fun () -> sinks := Some (span, trace, Probe.attach rt)
   in
-  Scheduler.run ~max_commits:500_000_000 rt policy;
+  let observing = profile || json <> None || chrome <> None in
+  let r =
+    Conf_adapter.run
+      ?sinks:(if observing then Some attach else None)
+      ~max_commits:500_000_000 algo
+      (algo.Conf_adapter.instance
+         (Conf_adapter.params ~n ~seed ~k ~names:n_names ()))
+      ~ids:(Array.of_list ids)
+      ~driver:
+        (with_crashes crashes
+           (Conf_regime.random.Conf_regime.make ~seed:(seed + 1) ~k:procs))
+  in
+  let rt = r.Conf_adapter.runtime and results = r.Conf_adapter.results in
   let summary = Metrics.of_runtime rt in
   Printf.printf "process  original  new-name  steps  status\n";
   List.iteri
     (fun i (p, me) ->
       Printf.printf "p%-6d  %-8d  %-8s  %-5d  %s\n" i me
         (match results.(i) with Some nm -> string_of_int nm | None -> "-")
-        (Runtime.steps p)
-        (match Runtime.status p with
-        | Runtime.Done -> "done"
-        | Runtime.Crashed -> "crashed"
-        | Runtime.Runnable -> "runnable"))
+        (Runtime.steps p) (status_string p))
     (List.combine (Runtime.procs rt) ids);
   let names = Array.to_list results |> List.filter_map Fun.id in
   let distinct = List.length (List.sort_uniq compare names) = List.length names in
@@ -379,8 +325,10 @@ let run_rename_sim algo k n n_names procs seed crashes profile json chrome
   Printf.printf "exclusive: %s  max-name: %d\n"
     (if distinct then "yes" else "NO (BUG)")
     (List.fold_left max (-1) names);
-  (match (span, probe) with
-  | Some sp, Some pr ->
+  let failure = r.Conf_adapter.outcome.Runner.failure in
+  Option.iter (Printf.printf "claim VIOLATED: %s\n") failure;
+  (match !sinks with
+  | Some (sp, trace, pr) ->
       let report = Probe.report pr in
       let aggs = Span.aggregate sp in
       if profile then begin
@@ -399,12 +347,7 @@ let run_rename_sim algo k n n_names procs seed crashes profile json chrome
                     ( "name",
                       match results.(i) with Some nm -> Json.Int nm | None -> Json.Null );
                     ("steps", Json.Int (Runtime.steps p));
-                    ( "status",
-                      Json.String
-                        (match Runtime.status p with
-                        | Runtime.Done -> "done"
-                        | Runtime.Crashed -> "crashed"
-                        | Runtime.Runnable -> "runnable") );
+                    ("status", Json.String (status_string p));
                   ])
               (List.combine (Runtime.procs rt) ids)
           in
@@ -412,7 +355,7 @@ let run_rename_sim algo k n n_names procs seed crashes profile json chrome
             Json.Obj
               [
                 ("schema", Json.String "exsel-rename/1");
-                ("algorithm", Json.String (algo_name algo));
+                ("algorithm", Json.String algo.Conf_adapter.id);
                 ("seed", Json.Int seed);
                 ("assignment", Json.List assignment);
                 ("summary", Json.of_summary summary);
@@ -436,8 +379,8 @@ let run_rename_sim algo k n n_names procs seed crashes profile json chrome
           Printf.printf "wrote %s (open at ui.perfetto.dev)\n" path
       | _ -> ());
       Span.detach sp
-  | _ -> ());
-  if not distinct then exit 1
+  | None -> ());
+  if failure <> None || not distinct then exit 1
 
 (* Backend dispatch.  The sim path is byte-identical to the historical
    behaviour; each backend rejects the other's exclusive flags with a
@@ -448,9 +391,9 @@ let run_rename_sim algo k n n_names procs seed crashes profile json chrome
    --warmup/--domains are native-only on this subcommand. *)
 let run_rename backend domains warmup algo k n n_names procs seed crashes
     profile json trace chrome metrics_out us_per_commit =
+  let algo = adapter_of_name algo in
   match backend with
   | "sim" ->
-      let algo = sim_algo algo in
       let reject_native_only name = function
         | None -> ()
         | Some _ -> usage "%s applies only to --backend native" name
@@ -462,7 +405,6 @@ let run_rename backend domains warmup algo k n n_names procs seed crashes
       run_rename_sim algo k n n_names procs seed crashes profile json chrome
         us_per_commit
   | "native" ->
-      let algo = native_adapter algo in
       if crashes <> [] then
         usage
           "--crash applies only to --backend sim (native domains cannot be \
@@ -483,6 +425,9 @@ let run_rename backend domains warmup algo k n n_names procs seed crashes
 (* ------------------------------------------------------------------ *)
 
 let run_deposit altruistic n per crashed seed =
+  check_positive ("--total", n);
+  if crashed < 0 || crashed >= n then
+    usage "--crashed %d must leave a survivor among --total %d" crashed n;
   let mem = Memory.create () in
   let rt = Runtime.create mem in
   if altruistic then begin
@@ -541,6 +486,7 @@ let run_deposit altruistic n per crashed seed =
 (* ------------------------------------------------------------------ *)
 
 let run_naming n per seed =
+  check_positive ("--total", n);
   let mem = Memory.create () in
   let rt = Runtime.create mem in
   let un = UN.create mem ~name:"un" ~n in
@@ -568,18 +514,15 @@ let run_naming n per seed =
 (* ------------------------------------------------------------------ *)
 
 let run_adversary algo k n_names seed =
-  let algo = sim_algo algo in
+  let algo = adapter_of_name algo in
   List.iter check_positive [ ("--contention", k); ("--names", n_names) ];
-  let mem = Memory.create () in
-  let rt = Runtime.create mem in
-  let rename, m = build_renamer algo mem ~k ~n:k ~n_names ~seed in
-  let spawn v =
-    Runtime.spawn rt ~name:(Printf.sprintf "p%d" v) (fun () -> ignore (rename ~me:v))
+  if k > n_names then
+    usage "--contention %d exceeds --names %d: contenders need distinct original names"
+      k n_names;
+  let _m, r, res =
+    E.force_adversary algo (Conf_adapter.params ~seed ~k ~names:n_names ())
   in
-  let r = Memory.registers mem in
-  let res = Adversary.force rt ~spawn ~n_names ~k ~m ~r in
-  Printf.printf "adversary vs %s: N=%d k=%d r=%d\n" (algo_name algo) n_names k
-    r;
+  Printf.printf "adversary vs %s: N=%d k=%d r=%d\n" algo.Conf_adapter.id n_names k r;
   List.iter
     (fun s ->
       Printf.printf "  stage %d: pool %d -> %d via %s on register %d\n"
@@ -592,38 +535,17 @@ let run_adversary algo k n_names seed =
     res.Adversary.max_steps
 
 (* ------------------------------------------------------------------ *)
-(* lease subcommand (long-lived renaming)                              *)
-(* ------------------------------------------------------------------ *)
-
-let run_lease n rounds seed =
-  let mem = Memory.create () in
-  let rt = Runtime.create mem in
-  let ll = R.Long_lived.create mem ~name:"ll" ~n in
-  let max_seen = ref 0 in
-  let acquires = ref 0 in
-  for i = 0 to n - 1 do
-    ignore
-      (Runtime.spawn rt ~name:(Printf.sprintf "p%d" i) (fun () ->
-           for _ = 1 to rounds do
-             let x = R.Long_lived.acquire ll ~me:i in
-             incr acquires;
-             if x > !max_seen then max_seen := x;
-             R.Long_lived.release ll ~me:i
-           done))
-  done;
-  Scheduler.run ~max_commits:500_000_000 rt (Scheduler.random (Rng.create ~seed));
-  Printf.printf "long-lived renaming: n=%d rounds=%d\n" n rounds;
-  Printf.printf "acquires: %d  max name: %d  (2n-1 = %d)\n" !acquires !max_seen
-    ((2 * n) - 1);
-  Format.printf "%a@." Metrics.pp (Metrics.of_runtime rt)
-
-(* ------------------------------------------------------------------ *)
 (* msgrename subcommand (ABDPR, message passing)                       *)
 (* ------------------------------------------------------------------ *)
 
 let run_msgrename n f crashed seed =
   let module Mnet = Exsel_msgnet.Mnet in
   let module Abdpr = Exsel_msgnet.Abdpr_renaming in
+  check_positive ("--total", n);
+  if f < 0 || 2 * f >= n then
+    usage "--faults %d: ABDPR needs 0 <= f and 2f < n (--total %d)" f n;
+  if crashed < 0 || crashed > f then
+    usage "--crashed %d: ABDPR tolerates between 0 and --faults %d crashes" crashed f;
   let net = Abdpr.make_net ~n in
   let originals = List.init n (fun i -> (i, 1000 + (13 * i))) in
   let crash_after = List.init crashed (fun i -> (i, 20 + (15 * i))) in
@@ -658,6 +580,7 @@ let run_explore target contenders crashes reduce do_shrink max_paths jobs
   check_at_least_two ("--contenders", contenders);
   check_name_space ~flag:"--contenders" adapter contenders;
   if crashes < 0 then usage "--crashes must be non-negative (got %d)" crashes;
+  check_positive ("--max-paths", max_paths);
   if reduce && crashes > 0 then usage "--reduce (sleep sets) requires --crashes 0";
   let reduction = if reduce then `Sleep_sets else `None in
   let choice_str = Format.asprintf "%a" Explore.pp_choice in
@@ -877,7 +800,6 @@ let run_experiments only json =
 (* Campaigns: conformance, service, workload                           *)
 (* ------------------------------------------------------------------ *)
 
-module Conf_regime = Exsel_conformance.Regime
 module Campaign = Exsel_conformance.Campaign
 module Service_core = Exsel_service.Core
 module Drive = Exsel_service.Drive
@@ -1123,11 +1045,10 @@ let algo_t =
     value & opt string "adaptive"
     & info [ "algo" ] ~docv:"ALGO"
         ~doc:
-          "Algorithm: ma, snapshot, majority, basic, polylog, efficient, \
-           almost-adaptive, adaptive, chain.  With rename --backend \
-           native: any conformance adapter id (compete, ma, attiya, \
-           majority, basic, polylog, efficient, almost-adaptive, adaptive, \
-           buggy-ma); moir-anderson and snapshot stand for ma and attiya.")
+          (Printf.sprintf
+             "Algorithm: a conformance adapter id (%s); moir-anderson and \
+              snapshot stand for ma and attiya."
+             (String.concat ", " (Conf_adapter.ids ()))))
 
 let profile_t =
   Arg.(
@@ -1262,11 +1183,6 @@ let adversary_cmd =
   Cmd.v (Cmd.info "adversary" ~doc)
     Term.(const run_adversary $ algo_t $ k_t $ n_names_t $ seed_t)
 
-let lease_cmd =
-  let doc = "run long-lived renaming (acquire/release churn)" in
-  let rounds = Arg.(value & opt int 5 & info [ "rounds" ] ~docv:"R" ~doc:"Acquire/release rounds per process.") in
-  Cmd.v (Cmd.info "lease" ~doc) Term.(const run_lease $ n_t $ rounds $ seed_t)
-
 let msgrename_cmd =
   let doc = "run the ABDPR message-passing renaming (reference [14])" in
   let f_t = Arg.(value & opt int 1 & info [ "f"; "faults" ] ~docv:"F" ~doc:"Crash bound, 2f < n.") in
@@ -1275,7 +1191,7 @@ let msgrename_cmd =
 
 let explore_cmd =
   let doc = "model-check an algorithm's claims over every schedule of a small instance" in
-  let target = Arg.(value & pos 0 string "compete" & info [] ~docv:"TARGET" ~doc:"A conformance adapter id: compete, ma, attiya, majority, basic, polylog, efficient, almost-adaptive, adaptive, or buggy-ma (the negative control, which violates exclusiveness).  The instance is the adapter's at seed 1, checked against its claims with the exact steps budget.") in
+  let target = Arg.(value & pos 0 string "compete" & info [] ~docv:"TARGET" ~doc:(Printf.sprintf "A conformance adapter id: %s (buggy-ma is the negative control, which violates exclusiveness).  The instance is the adapter's at seed 1, checked against its claims with the exact steps budget." (String.concat ", " (Conf_adapter.ids ())))) in
   let contenders = Arg.(value & opt int 2 & info [ "contenders" ] ~docv:"K" ~doc:"Concurrent contenders (at least 2).") in
   let crashes = Arg.(value & opt int 0 & info [ "crashes" ] ~docv:"C" ~doc:"Crash decisions allowed per schedule.") in
   let reduce = Arg.(value & flag & info [ "reduce" ] ~doc:"Enable sleep-set partial-order reduction.") in
@@ -1553,7 +1469,6 @@ let () =
               deposit_cmd;
               naming_cmd;
               adversary_cmd;
-              lease_cmd;
               msgrename_cmd;
               explore_cmd;
               conformance_cmd;

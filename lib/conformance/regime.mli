@@ -38,6 +38,10 @@ type t = {
 val all : t list
 (** The five regimes, in the order listed above. *)
 
+val random : t
+(** ["random"] = [uniform], the first of {!all}: it draws exactly as
+    [Exsel_sim.Scheduler.random] on a generator seeded [seed] does. *)
+
 val find : string -> t option
 (** Look a regime up by [id]. *)
 

@@ -5,19 +5,16 @@ module SD = Exsel_repository.Selfish_deposit
 module AD = Exsel_repository.Altruistic_deposit
 module UN = Exsel_repository.Unbounded_naming
 module HB = Exsel_repository.Help_board
+module LL = Exsel_renaming.Long_lived
 module Adversary = Exsel_lowerbound.Adversary
-
-type outcome = {
-  summary : Metrics.summary;
-  names : int list;  (* names actually assigned *)
-  failures : int;  (* processes that reported overflow *)
-}
+module Adapter = Exsel_conformance.Adapter
+module Regime = Exsel_conformance.Regime
 
 (* ------------------------------------------------------------------ *)
-(* Observation capture: when observing is on, every run executed through
-   [run_renaming] attaches a register probe and a span sink and queues a
-   structured record; the bench / CLI JSON exports drain the queue after
-   each experiment. *)
+(* Observation capture: when observing is on, every renaming row run
+   through [drive] attaches a register probe and a span sink and queues
+   a structured record; the bench / CLI JSON exports drain the queue
+   after each experiment. *)
 
 type observation = {
   obs_label : string;
@@ -62,29 +59,50 @@ let observation_to_json o =
       ("spans", Exsel_obs.Span.aggregate_to_json o.obs_spans);
     ]
 
-(* Run [ids] as concurrent contenders, each calling [rename] with its
-   identifier, under a seeded random schedule.  [label] tags the queued
-   observation when observing is on.  Sink order matters: spans must be
-   live before spawning (bodies run to their first suspension at spawn
-   time), the probe attaches after spawning so its initial scan sees the
-   whole pending burst. *)
-let run_renaming ?(label = "") ~seed ~ids rename mem rt =
+let adapter id =
+  match Adapter.find id with
+  | Some a -> a
+  | None -> invalid_arg ("Experiments: no adapter " ^ id)
+
+type outcome = {
+  summary : Metrics.summary;
+  names : int list;  (* names actually assigned *)
+  failures : int;  (* processes that ended without a name *)
+  bound : int;  (* the instance's claimed name bound *)
+  internals : (string * int) list;  (* the instance's own counters *)
+}
+
+(* One renaming row: adapter [id]'s instance with parameters [p] (and,
+   with [lane], a fallback lane built after it in the same memory), a
+   contender per original name in [ids], driven by Runner.drive under the
+   uniform regime seeded [seed] and checked against the adapter's claims.
+   Rows that overload an instance on purpose pass [~completion:None]:
+   they check exclusiveness and the name bound, not completion.  [label]
+   tags the queued observation when observing is on. *)
+let drive ?completion ?lane ~label ~seed ~ids id p =
+  let a = adapter id in
   let st = obs_state () in
-  let span = if st.observing then Some (Exsel_obs.Span.attach rt) else None in
-  let results = Array.make (List.length ids) None in
-  List.iteri
-    (fun i me ->
-      ignore
-        (Runtime.spawn rt ~name:(Printf.sprintf "p%d" i) (fun () ->
-             results.(i) <- rename ~me)))
-    ids;
-  let probe = if st.observing then Some (Exsel_obs.Probe.attach rt) else None in
-  Scheduler.run ~max_commits:200_000_000 rt (Scheduler.random (Rng.create ~seed));
-  ignore mem;
-  let names = Array.to_list results |> List.filter_map Fun.id in
-  let summary = Metrics.of_runtime rt in
-  (match (span, probe) with
-  | Some sp, Some pr ->
+  let observed = ref None in
+  let sinks rt =
+    let span = Exsel_obs.Span.attach rt in
+    fun () -> observed := Some (span, Exsel_obs.Probe.attach rt)
+  in
+  let build mem =
+    let b = a.Adapter.instance p mem in
+    match lane with None -> b | Some lane -> lane mem b
+  in
+  let r =
+    Adapter.run
+      ?sinks:(if st.observing then Some sinks else None)
+      ~max_commits:200_000_000 ?completion a build ~ids:(Array.of_list ids)
+      ~driver:(Regime.random.Regime.make ~seed ~k:(List.length ids))
+  in
+  (match r.Adapter.outcome.Exsel_conformance.Runner.failure with
+  | Some msg -> failwith (Printf.sprintf "%s (%s): %s" id label msg)
+  | None -> ());
+  let summary = Metrics.of_runtime r.Adapter.runtime in
+  (match !observed with
+  | Some (sp, pr) ->
       st.observations_rev <-
         {
           obs_label = label;
@@ -94,34 +112,49 @@ let run_renaming ?(label = "") ~seed ~ids rename mem rt =
         }
         :: st.observations_rev;
       Exsel_obs.Span.detach sp
-  | _ -> ());
-  { summary; names; failures = List.length ids - List.length names }
+  | None -> ());
+  let names = Array.to_list r.Adapter.results |> List.filter_map Fun.id in
+  {
+    summary;
+    names;
+    failures = List.length ids - List.length names;
+    bound = r.Adapter.built.Adapter.name_bound;
+    internals = r.Adapter.built.Adapter.internals ();
+  }
+
+let internal o key = List.assoc key o.internals
 
 let max_name names = List.fold_left max (-1) names
 
-let distinct names = List.length (List.sort_uniq compare names) = List.length names
-
-let check_distinct id names =
-  if not (distinct names) then
-    failwith (Printf.sprintf "%s: duplicate names assigned — exclusiveness broken!" id)
-
 let ids_spread ~count ~bound =
   List.init count (fun i -> i * (bound / count) mod bound)
+
+(* Theorem 6's adversary against adapter [a]'s instance with parameters
+   [p]: one process per original name in [0, p.names), [p.k] survivors.
+   Returns the instance's name bound M, its register count r and what
+   the adversary forced. *)
+let force_adversary (a : Adapter.t) (p : Adapter.params) =
+  let mem = Memory.create () in
+  let rt = Runtime.create mem in
+  let b = a.Adapter.instance p mem in
+  let spawn v =
+    Runtime.spawn rt ~name:(Printf.sprintf "p%d" v) (fun () -> ignore (b.Adapter.rename ~me:v))
+  in
+  let r = Memory.registers mem in
+  let m = b.Adapter.name_bound in
+  (m, r, Adversary.force rt ~spawn ~n_names:p.Adapter.names ~k:p.Adapter.k ~m ~r)
 
 (* ------------------------------------------------------------------ *)
 
 let t1_comparison () =
   let n_names = 1024 in
-  let row algo k build =
-    let mem = Memory.create () in
-    let rt = Runtime.create mem in
-    let rename = build mem in
+  let row algo id k ~seed =
     let o =
-      run_renaming
+      drive
         ~label:(Printf.sprintf "algo=%s,k=%d" algo k)
-        ~seed:(100 + k) ~ids:(ids_spread ~count:k ~bound:n_names) rename mem rt
+        ~seed:(100 + k) ~ids:(ids_spread ~count:k ~bound:n_names) id
+        (Adapter.params ~seed ~k ~names:n_names ())
     in
-    check_distinct "T1" o.names;
     [
       algo;
       Table.cell_int k;
@@ -135,30 +168,11 @@ let t1_comparison () =
     List.concat_map
       (fun k ->
         [
-          row "MA (Moir-Anderson)" k (fun mem ->
-              let ma = R.Moir_anderson.create mem ~name:"ma" ~side:k in
-              fun ~me -> R.Moir_anderson.rename ma ~me);
-          row "Snapshot (Attiya et al.)" k (fun mem ->
-              let a = R.Attiya_renaming.create mem ~name:"at" ~slots:n_names () in
-              fun ~me -> R.Attiya_renaming.rename a ~slot:me);
-          row "PolyLog-Rename" k (fun mem ->
-              let p =
-                R.Polylog_rename.create ~rng:(Rng.create ~seed:(7 * k)) mem
-                  ~name:"pl" ~k ~inputs:n_names
-              in
-              fun ~me -> R.Polylog_rename.rename p ~me);
-          row "Efficient-Rename" k (fun mem ->
-              let e =
-                R.Efficient_rename.create ~rng:(Rng.create ~seed:(9 * k)) mem
-                  ~name:"ef" ~k
-              in
-              fun ~me -> R.Efficient_rename.rename e ~me);
-          row "Adaptive-Rename" k (fun mem ->
-              let a =
-                R.Adaptive_rename.create ~rng:(Rng.create ~seed:(11 * k)) mem
-                  ~name:"ad" ~n:k
-              in
-              fun ~me -> Some (R.Adaptive_rename.rename a ~me));
+          row "MA (Moir-Anderson)" "ma" k ~seed:0;
+          row "Snapshot (Attiya et al.)" "attiya" k ~seed:0;
+          row "PolyLog-Rename" "polylog" k ~seed:(7 * k);
+          row "Efficient-Rename" "efficient" k ~seed:(9 * k);
+          row "Adaptive-Rename" "adaptive" k ~seed:(11 * k);
         ])
       [ 4; 8; 16 ]
   in
@@ -178,20 +192,12 @@ let t2_polylog () =
       (fun n_names ->
         List.map
           (fun k ->
-            let mem = Memory.create () in
-            let rt = Runtime.create mem in
-            let p =
-              R.Polylog_rename.create ~rng:(Rng.create ~seed:(k + n_names)) mem
-                ~name:"pl" ~k ~inputs:n_names
-            in
             let o =
-              run_renaming
+              drive
                 ~label:(Printf.sprintf "k=%d,N=%d" k n_names)
-                ~seed:(3 * k) ~ids:(ids_spread ~count:k ~bound:n_names)
-                (fun ~me -> R.Polylog_rename.rename p ~me)
-                mem rt
+                ~seed:(3 * k) ~ids:(ids_spread ~count:k ~bound:n_names) "polylog"
+                (Adapter.params ~seed:(k + n_names) ~k ~names:n_names ())
             in
-            check_distinct "T2" o.names;
             let bound = R.Spec.polylog_steps ~k ~n_names in
             [
               Table.cell_int k;
@@ -199,7 +205,7 @@ let t2_polylog () =
               Table.cell_int o.summary.Metrics.max_steps;
               Table.cell_float bound;
               Table.cell_float (float_of_int o.summary.Metrics.max_steps /. bound);
-              Table.cell_int (R.Polylog_rename.names p);
+              Table.cell_int o.bound;
               Table.cell_int o.summary.Metrics.registers;
               Table.cell_float (R.Spec.polylog_registers ~k ~n_names);
               Table.cell_int o.failures;
@@ -221,24 +227,19 @@ let t3_efficient () =
   let rows =
     List.map
       (fun k ->
-        let mem = Memory.create () in
-        let rt = Runtime.create mem in
-        let e = R.Efficient_rename.create ~rng:(Rng.create ~seed:(13 * k)) mem ~name:"ef" ~k in
         let o =
-          run_renaming
+          drive
             ~label:(Printf.sprintf "k=%d" k)
-            ~seed:k ~ids:(List.init k (fun i -> 1000 + (257 * i)))
-            (fun ~me -> R.Efficient_rename.rename e ~me)
-            mem rt
+            ~seed:k ~ids:(List.init k (fun i -> 1000 + (257 * i))) "efficient"
+            (Adapter.params ~seed:(13 * k) ~k ~names:k ())
         in
-        check_distinct "T3" o.names;
         [
           Table.cell_int k;
           Table.cell_int o.summary.Metrics.max_steps;
           Table.cell_float (float_of_int o.summary.Metrics.max_steps /. float_of_int k);
           Table.cell_int (max_name o.names + 1);
           Table.cell_int (R.Spec.efficient_names ~k);
-          Table.cell_int (R.Efficient_rename.intermediate_names e);
+          Table.cell_int (internal o "M'");
           Table.cell_int o.summary.Metrics.registers;
           Table.cell_float
             (float_of_int o.summary.Metrics.registers /. float_of_int (k * k));
@@ -260,32 +261,19 @@ let t4_almost_adaptive () =
   let rows =
     List.map
       (fun k ->
-        let mem = Memory.create () in
-        let rt = Runtime.create mem in
-        let a =
-          R.Almost_adaptive.create ~rng:(Rng.create ~seed:(17 * k)) mem ~name:"aa" ~n
-            ~inputs:n_names
-        in
-        let levels = ref [] in
         let o =
-          run_renaming
+          drive
             ~label:(Printf.sprintf "k=%d" k)
-            ~seed:(19 + k) ~ids:(ids_spread ~count:k ~bound:n_names)
-            (fun ~me ->
-              let name, level = R.Almost_adaptive.rename_leveled a ~me in
-              levels := level :: !levels;
-              Some name)
-            mem rt
+            ~seed:(19 + k) ~ids:(ids_spread ~count:k ~bound:n_names) "almost-adaptive"
+            (Adapter.params ~n ~seed:(17 * k) ~k ~names:n_names ())
         in
-        check_distinct "T4" o.names;
-        let bound = R.Almost_adaptive.name_bound_for_contention a ~k in
         [
           Table.cell_int k;
           Table.cell_int o.summary.Metrics.max_steps;
           Table.cell_int (max_name o.names + 1);
-          Table.cell_int bound;
-          Table.cell_int (List.fold_left max 0 !levels);
-          Table.cell_int (R.Almost_adaptive.reserve_uses a);
+          Table.cell_int o.bound;
+          Table.cell_int (internal o "top level");
+          Table.cell_int (internal o "reserve");
           Table.cell_int o.summary.Metrics.registers;
         ])
       [ 1; 2; 4; 8; 16 ]
@@ -305,24 +293,19 @@ let t5_adaptive () =
   let rows =
     List.map
       (fun k ->
-        let mem = Memory.create () in
-        let rt = Runtime.create mem in
-        let a = R.Adaptive_rename.create ~rng:(Rng.create ~seed:(23 * k)) mem ~name:"ad" ~n in
         let o =
-          run_renaming
+          drive
             ~label:(Printf.sprintf "k=%d" k)
-            ~seed:(29 + k) ~ids:(List.init k (fun i -> 777 + (13 * i)))
-            (fun ~me -> Some (R.Adaptive_rename.rename a ~me))
-            mem rt
+            ~seed:(29 + k) ~ids:(List.init k (fun i -> 777 + (13 * i))) "adaptive"
+            (Adapter.params ~n ~seed:(23 * k) ~k ~names:k ())
         in
-        check_distinct "T5" o.names;
         [
           Table.cell_int k;
           Table.cell_int o.summary.Metrics.max_steps;
           Table.cell_float (float_of_int o.summary.Metrics.max_steps /. float_of_int k);
           Table.cell_int (max_name o.names + 1);
-          Table.cell_int (R.Adaptive_rename.name_bound_for_contention ~k);
-          Table.cell_int (R.Adaptive_rename.reserve_uses a);
+          Table.cell_int o.bound;
+          Table.cell_int (internal o "reserve");
           Table.cell_int o.summary.Metrics.registers;
         ])
       [ 1; 2; 4; 8; 16 ]
@@ -383,15 +366,10 @@ let t6_store_collect () =
     rows
 
 let t7_lower_bound () =
-  let case label ~n_names ~k build =
-    let mem = Memory.create () in
-    let rt = Runtime.create mem in
-    let rename, m = build mem in
-    let spawn v =
-      Runtime.spawn rt ~name:(Printf.sprintf "p%d" v) (fun () -> ignore (rename ~me:v))
+  let case label id ~n_names ~k ~seed =
+    let m, r, res =
+      force_adversary (adapter id) (Adapter.params ~seed ~k ~names:n_names ())
     in
-    let r = Memory.registers mem in
-    let res = Adversary.force rt ~spawn ~n_names ~k ~m ~r in
     [
       label;
       Table.cell_int n_names;
@@ -406,35 +384,15 @@ let t7_lower_bound () =
   in
   let rows =
     [
-      case "Majority" ~n_names:4096 ~k:8 (fun mem ->
-          let m =
-            R.Majority.create ~rng:(Rng.create ~seed:61) mem ~name:"maj" ~l:8
-              ~inputs:4096
-          in
-          ((fun ~me -> R.Majority.rename m ~me), R.Majority.names m));
-      case "Majority" ~n_names:65536 ~k:8 (fun mem ->
-          let m =
-            R.Majority.create ~rng:(Rng.create ~seed:62) mem ~name:"maj" ~l:8
-              ~inputs:65536
-          in
-          ((fun ~me -> R.Majority.rename m ~me), R.Majority.names m));
-      case "Basic-Rename" ~n_names:4096 ~k:8 (fun mem ->
-          let b =
-            R.Basic_rename.create ~rng:(Rng.create ~seed:63) mem ~name:"bas" ~k:8
-              ~inputs:4096
-          in
-          ((fun ~me -> R.Basic_rename.rename b ~me), R.Basic_rename.names b));
-      case "Moir-Anderson" ~n_names:1024 ~k:8 (fun mem ->
-          let ma = R.Moir_anderson.create mem ~name:"ma" ~side:8 in
-          ((fun ~me -> R.Moir_anderson.rename ma ~me), R.Moir_anderson.capacity ma));
-      (* register-lean strawman: with r this small the log term binds and
-         the adversary forces multiple stages *)
-      case "Chain (r-lean)" ~n_names:8192 ~k:8 (fun mem ->
-          let c = R.Chain_rename.create mem ~name:"ch" ~m:15 in
-          ((fun ~me -> R.Chain_rename.rename c ~me), R.Chain_rename.names c));
-      case "Chain (r-lean)" ~n_names:32768 ~k:4 (fun mem ->
-          let c = R.Chain_rename.create mem ~name:"ch" ~m:7 in
-          ((fun ~me -> R.Chain_rename.rename c ~me), R.Chain_rename.names c));
+      case "Majority" "majority" ~n_names:4096 ~k:8 ~seed:61;
+      case "Majority" "majority" ~n_names:65536 ~k:8 ~seed:62;
+      case "Basic-Rename" "basic" ~n_names:4096 ~k:8 ~seed:63;
+      case "Moir-Anderson" "ma" ~n_names:1024 ~k:8 ~seed:0;
+      (* register-lean strawman: a chain of 2k-1 names, so r is small
+         enough that the log term binds and the adversary forces multiple
+         stages *)
+      case "Chain (r-lean)" "chain" ~n_names:8192 ~k:8 ~seed:0;
+      case "Chain (r-lean)" "chain" ~n_names:32768 ~k:4 ~seed:0;
     ]
   in
   (* Theorem 7's variant: a first Store against the adversary *)
@@ -595,49 +553,32 @@ let t9_unbounded_naming () =
 let f1_majority_progress () =
   let k = 8 and n_names = 4096 in
   (* one run per contention multiplier: within budget (x1) the stages beat
-     the >= 1/2 guarantee outright; overloaded (x4, x8) the geometric
+     the >= 1/2 guarantee outright; overloaded (x16, x40) the geometric
      cascade of Lemma 5 becomes visible *)
   let run_factor factor =
     let contenders = k * factor in
-    let mem = Memory.create () in
-    let rt = Runtime.create mem in
-    let b =
-      R.Basic_rename.create ~rng:(Rng.create ~seed:(95 + factor)) mem ~name:"bas" ~k
-        ~inputs:n_names
+    let o =
+      drive
+        ?completion:(if factor > 1 then Some None else None)
+        ~label:(Printf.sprintf "contenders=%d" contenders)
+        ~seed:96 ~ids:(ids_spread ~count:contenders ~bound:n_names) "basic"
+        (Adapter.params ~seed:(95 + factor) ~k ~names:n_names ())
     in
-    let stage_of = Array.make contenders (-1) in
-    List.iteri
-      (fun i me ->
-        ignore
-          (Runtime.spawn rt ~name:(Printf.sprintf "p%d" i) (fun () ->
-               let _, stage = R.Basic_rename.rename_traced b ~me in
-               stage_of.(i) <- stage)))
-      (ids_spread ~count:contenders ~bound:n_names);
-    Scheduler.run ~max_commits:200_000_000 rt (Scheduler.random (Rng.create ~seed:96));
-    let stages = R.Basic_rename.stages b in
-    let per_stage =
-      List.init (stages + 1) (fun s ->
-          Array.to_list stage_of |> List.filter (fun x -> x = s) |> List.length)
-    in
-    (contenders, per_stage)
+    (contenders, o)
   in
   let runs = List.map run_factor [ 1; 16; 40 ] in
-  let budgets =
-    let mem = Memory.create () in
-    R.Basic_rename.stage_budgets
-      (R.Basic_rename.create ~rng:(Rng.create ~seed:95) mem ~name:"b" ~k ~inputs:n_names)
-  in
-  let stages = List.length budgets in
+  let budget s = List.assoc_opt (Printf.sprintf "budget.%d" s) (snd (List.hd runs)).internals in
+  let stages = List.length (List.filter (fun (key, _) -> String.starts_with ~prefix:"budget." key) (snd (List.hd runs)).internals) in
   let rows =
     List.init (stages + 1) (fun s ->
-        let label =
-          if s < stages then Table.cell_int s else "unserved"
-        in
+        let label = if s < stages then Table.cell_int s else "unserved" in
         let budget =
-          if s < stages then Table.cell_int (List.nth budgets s) else "-"
+          match budget s with Some b -> Table.cell_int b | None -> "-"
         in
         label :: budget
-        :: List.map (fun (_, per_stage) -> Table.cell_int (List.nth per_stage s)) runs)
+        :: List.map
+             (fun (_, o) -> Table.cell_int (internal o (Printf.sprintf "stage.%d" s)))
+             runs)
   in
   Table.make ~id:"F1"
     ~title:
@@ -661,50 +602,22 @@ let f2_crossover () =
   let rows =
     List.map
       (fun n_names ->
-        let ids = ids_spread ~count:k ~bound:n_names in
-        let measure algo build =
-          let mem = Memory.create () in
-          let rt = Runtime.create mem in
-          let rename = build mem in
+        let measure algo id ~seed =
           let o =
-            run_renaming
+            drive
               ~label:(Printf.sprintf "algo=%s,N=%d" algo n_names)
-              ~seed:(n_names + 5) ~ids rename mem rt
+              ~seed:(n_names + 5) ~ids:(ids_spread ~count:k ~bound:n_names) id
+              (Adapter.params ~seed ~k ~names:n_names ())
           in
           o.summary.Metrics.max_steps
         in
         let snapshot_steps =
           if n_names > 4096 then None
-          else
-            Some
-              (measure "snapshot" (fun mem ->
-                   let a = R.Attiya_renaming.create mem ~name:"at" ~slots:n_names () in
-                   fun ~me -> R.Attiya_renaming.rename a ~slot:me))
+          else Some (measure "snapshot" "attiya" ~seed:0)
         in
-        let basic =
-          measure "basic" (fun mem ->
-              let b =
-                R.Basic_rename.create ~rng:(Rng.create ~seed:(n_names + 1)) mem
-                  ~name:"bas" ~k ~inputs:n_names
-              in
-              fun ~me -> R.Basic_rename.rename b ~me)
-        in
-        let polylog =
-          measure "polylog" (fun mem ->
-              let p =
-                R.Polylog_rename.create ~rng:(Rng.create ~seed:(n_names + 2)) mem
-                  ~name:"pl" ~k ~inputs:n_names
-              in
-              fun ~me -> R.Polylog_rename.rename p ~me)
-        in
-        let efficient =
-          measure "efficient" (fun mem ->
-              let e =
-                R.Efficient_rename.create ~rng:(Rng.create ~seed:(n_names + 3)) mem
-                  ~name:"ef" ~k
-              in
-              fun ~me -> R.Efficient_rename.rename e ~me)
-        in
+        let basic = measure "basic" "basic" ~seed:(n_names + 1) in
+        let polylog = measure "polylog" "polylog" ~seed:(n_names + 2) in
+        let efficient = measure "efficient" "efficient" ~seed:(n_names + 3) in
         [
           Table.cell_int n_names;
           (match snapshot_steps with Some s -> Table.cell_int s | None -> "-");
@@ -747,25 +660,17 @@ let a1_expander_constants () =
   in
   let rows =
     List.map
-      (fun (label, params) ->
-        let mem = Memory.create () in
-        let rt = Runtime.create mem in
-        let m =
-          R.Majority.create ~params ~rng:(Rng.create ~seed:111) mem ~name:"maj" ~l
-            ~inputs:n_names
-        in
+      (fun (label, preset) ->
         let o =
-          run_renaming
+          drive
             ~label:(Printf.sprintf "preset=%s" label)
-            ~seed:7 ~ids:(ids_spread ~count:l ~bound:n_names)
-            (fun ~me -> R.Majority.rename m ~me)
-            mem rt
+            ~seed:7 ~ids:(ids_spread ~count:l ~bound:n_names) "majority"
+            (Adapter.params ~preset ~seed:111 ~k:l ~names:n_names ())
         in
-        check_distinct "A1" o.names;
         [
           label;
-          Table.cell_int (Exsel_expander.Bipartite.degree (R.Majority.graph m));
-          Table.cell_int (R.Majority.names m);
+          Table.cell_int (internal o "degree");
+          Table.cell_int o.bound;
           Table.cell_int (List.length o.names);
           Table.cell_int o.failures;
           Table.cell_int o.summary.Metrics.max_steps;
@@ -839,41 +744,46 @@ let a3_reserve_lane () =
   (* What the deterministic reserve lane costs and buys: overload a
      PolyLog instance and count who the reserve rescues. *)
   let k = 4 and n_names = 1024 in
+  (* an MA grid of side [side] behind the instance, naming above its
+     range whoever the instance rejects *)
+  let reserve_lane ~side ~rescued mem (b : Adapter.built) =
+    let reserve =
+      (adapter "ma").Adapter.instance (Adapter.params ~seed:0 ~k:side ~names:side ()) mem
+    in
+    {
+      b with
+      Adapter.rename =
+        (fun ~me ->
+          match b.Adapter.rename ~me with
+          | Some w -> Some w
+          | None ->
+              incr rescued;
+              Option.map (fun w -> b.Adapter.name_bound + w) (reserve.Adapter.rename ~me));
+      name_bound = b.Adapter.name_bound + reserve.Adapter.name_bound;
+      steps_budget = b.Adapter.steps_budget +. reserve.Adapter.steps_budget;
+    }
+  in
   let rows =
     List.map
       (fun factor ->
         let contenders = k * factor in
-        let mem = Memory.create () in
-        let rt = Runtime.create mem in
-        let p =
-          R.Polylog_rename.create ~rng:(Rng.create ~seed:333) mem ~name:"pl" ~k
-            ~inputs:n_names
-        in
-        let reserve = R.Moir_anderson.create mem ~name:"rsv" ~side:contenders in
         let rescued = ref 0 in
         let o =
-          run_renaming
+          drive
+            ?completion:(if factor > 1 then Some None else None)
+            ~lane:(reserve_lane ~side:contenders ~rescued)
             ~label:(Printf.sprintf "contenders=%d" contenders)
             ~seed:(factor + 40)
             ~ids:(ids_spread ~count:contenders ~bound:n_names)
-            (fun ~me ->
-              match R.Polylog_rename.rename p ~me with
-              | Some w -> Some w
-              | None -> (
-                  incr rescued;
-                  match R.Moir_anderson.rename reserve ~me with
-                  | Some w -> Some (R.Polylog_rename.names p + w)
-                  | None -> None))
-            mem rt
+            "polylog"
+            (Adapter.params ~seed:333 ~k ~names:n_names ())
         in
-        check_distinct "A3" o.names;
         [
           Table.cell_int contenders;
           Table.cell_int (List.length o.names);
           Table.cell_int !rescued;
           Table.cell_int o.failures;
-          Table.cell_int
-            (R.Moir_anderson.side reserve * (R.Moir_anderson.side reserve + 1));
+          Table.cell_int (contenders * (contenders + 1));
         ])
       [ 1; 8; 32 ]
   in
@@ -900,16 +810,16 @@ let x1_long_lived () =
       (fun holders ->
         let mem = Memory.create () in
         let rt = Runtime.create mem in
-        let ll = R.Long_lived.create mem ~name:"ll" ~n in
+        let ll = LL.create mem ~name:"ll" ~n in
         let max_seen = ref 0 in
         let rounds = 5 in
         for i = 0 to holders - 1 do
           ignore
             (Runtime.spawn rt ~name:(Printf.sprintf "p%d" i) (fun () ->
                  for _ = 1 to rounds do
-                   let x = R.Long_lived.acquire ll ~me:i in
+                   let x = LL.acquire ll ~me:i in
                    if x > !max_seen then max_seen := x;
-                   R.Long_lived.release ll ~me:i
+                   LL.release ll ~me:i
                  done))
         done;
         Scheduler.run ~max_commits:200_000_000 rt
@@ -987,16 +897,12 @@ let x3_randomized () =
   let rows =
     List.concat_map
       (fun k ->
-        let run label build =
-          let mem = Memory.create () in
-          let rt = Runtime.create mem in
-          let rename = build mem in
+        let run label ?(ids = List.init k (fun i -> 31 * i)) id p =
           let o =
-            run_renaming
+            drive
               ~label:(Printf.sprintf "algo=%s,k=%d" label k)
-              ~seed:(700 + k) ~ids:(List.init k (fun i -> 31 * i)) rename mem rt
+              ~seed:(700 + k) ~ids id p
           in
-          check_distinct "X3" o.names;
           [
             label;
             Table.cell_int k;
@@ -1008,25 +914,14 @@ let x3_randomized () =
           ]
         in
         [
-          run "Randomized (eps=1)" (fun mem ->
-              let rr =
-                R.Randomized_rename.create mem ~name:"rr" ~seed:(11 * k) ~k ~epsilon:1.0
-              in
-              fun ~me -> R.Randomized_rename.rename rr ~me);
-          run "MA (deterministic)" (fun mem ->
-              let ma = R.Moir_anderson.create mem ~name:"ma" ~side:k in
-              fun ~me -> R.Moir_anderson.rename ma ~me);
-          run "Chain (deterministic)" (fun mem ->
-              let c = R.Chain_rename.create mem ~name:"ch" ~m:(2 * k) in
-              fun ~me -> R.Chain_rename.rename c ~me);
-          run "IS one-shot (BG-style)" (fun mem ->
-              let ir = R.Is_rename.create mem ~name:"ir" ~n:k in
-              let next = ref 0 in
-              fun ~me ->
-                ignore me;
-                let slot = !next in
-                incr next;
-                Some (R.Is_rename.rename ir ~slot));
+          run "Randomized (eps=1)" "randomized"
+            (Adapter.params ~seed:(11 * k) ~k ~names:k ());
+          run "MA (deterministic)" "ma" (Adapter.params ~seed:0 ~k ~names:k ());
+          run "Chain (deterministic)" "chain"
+            (Adapter.params ~chain:(2 * k) ~seed:0 ~k ~names:k ());
+          (* the immediate snapshot has one slot per original name *)
+          run "IS one-shot (BG-style)" "is-rename" ~ids:(List.init k Fun.id)
+            (Adapter.params ~seed:0 ~k ~names:k ());
         ])
       [ 8; 16; 32 ]
   in

@@ -69,14 +69,23 @@ val all_named : (string * (unit -> Table.t)) list
 val all : unit -> Table.t list
 (** Every table, figure and ablation, in order. *)
 
+val force_adversary :
+  Exsel_conformance.Adapter.t ->
+  Exsel_conformance.Adapter.params ->
+  int * int * Exsel_lowerbound.Adversary.result
+(** Theorem 6's adversary (T7, [exsel adversary]) against an adapter's
+    instance with parameters [p]: one process per original name in
+    [[0, p.names)], [p.k] survivors.  Returns the instance's name bound
+    [M], its register count [r] and what the adversary forced. *)
+
 (** {1 Observation capture}
 
-    When observing is on, every run executed through the internal
-    renaming driver attaches an {!Exsel_obs.Probe} and an
-    {!Exsel_obs.Span} sink and queues an {!observation}; drain the queue
-    after each experiment to associate observations with their table.
-    Experiments that drive the scheduler directly (T6–T9, F1, A2, X1,
-    X2) produce no observations. *)
+    When observing is on, every renaming row (an adapter's instance
+    driven by [Runner.drive] under the uniform regime: T1–T5, F1, F2, A1,
+    A3, X3) attaches an {!Exsel_obs.Probe} and an {!Exsel_obs.Span} sink
+    and queues an {!observation}; drain the queue after each experiment
+    to associate observations with their table.  T6–T9, A2, X1 and X2
+    produce no observations. *)
 
 type observation = {
   obs_label : string;  (** run parameters, e.g. ["k=8,N=16384"] *)

@@ -7,7 +7,7 @@ type reg_stat = { rs_name : string; rs_reads : int; rs_writes : int }
 
 type run = {
   algo : string;
-  completion : Claims.completion;
+  completion : Claims.completion option;
   n : int;
   domains : int;
   seed : int;
@@ -70,7 +70,7 @@ let run_plain (algo : Adapter.t) ~n ~domains ~seed ids =
   let module Build = (val algo.Adapter.build) in
   let module A = Build (Backend) in
   let mem = Backend.create () in
-  let b = A.build ~seed ~k:n mem in
+  let b = A.build (algo.Adapter.campaign ~seed ~k:n) mem in
   let names, latency_ns, tl = drive ~rename:b.Adapter.rename ~ids ~domains in
   (names, latency_ns, tl, b.Adapter.name_bound, Backend.registers mem, [])
 
@@ -78,7 +78,7 @@ let run_probed (algo : Adapter.t) ~n ~domains ~seed ids =
   let module Build = (val algo.Adapter.build) in
   let module A = Build (Probed) in
   let mem = Probed.wrap (Backend.create ()) in
-  let b = A.build ~seed ~k:n mem in
+  let b = A.build (algo.Adapter.campaign ~seed ~k:n) mem in
   let names, latency_ns, tl = drive ~rename:b.Adapter.rename ~ids ~domains in
   let stats =
     List.map
@@ -156,7 +156,7 @@ let check r =
         })
       r.names
   in
-  Claims.check ~completion:r.completion ~k:r.n ~outcomes ~bound:r.bound ()
+  Adapter.check ~completion:r.completion ~k:r.n ~outcomes ~bound:r.bound ()
 
 (* Flight record as a wall-clock trace document: every rename span
    attributed to its executing worker, timestamps rebased to the run

@@ -28,7 +28,7 @@ type reg_stat = {
 
 type run = {
   algo : string;  (** the adapter id *)
-  completion : Exsel_backend.Claims.completion;  (** the adapter's *)
+  completion : Exsel_backend.Claims.completion option;  (** the adapter's *)
   n : int;  (** contenders (= the algorithm's k, or n for Adaptive) *)
   domains : int;  (** requested pool size (actual: [telemetry.tl_domains]) *)
   seed : int;

@@ -1,20 +1,34 @@
-type t = { chain : Compete.t array }
+module type S = sig
+  type memory
+  type t
 
-let create mem ~name ~m =
-  if m <= 0 then invalid_arg "Chain_rename.create: m must be positive";
-  {
-    chain =
-      Array.init m (fun i -> Compete.create mem ~name:(Printf.sprintf "%s.%d" name i));
-  }
+  val create : memory -> name:string -> m:int -> t
+  val names : t -> int
+  val rename : t -> me:int -> int option
+  val steps_bound : t -> int
+end
 
-let names t = Array.length t.chain
+module Make (B : Exsel_backend.Intf.S) = struct
+  module C = Compete.Make (B)
 
-let rename t ~me =
-  let rec go i =
-    if i >= Array.length t.chain then None
-    else if Compete.compete t.chain.(i) ~me then Some i
-    else go (i + 1)
-  in
-  go 0
+  type memory = B.memory
+  type t = { chain : C.t array }
 
-let steps_bound t = Compete.steps_bound * Array.length t.chain
+  let create mem ~name ~m =
+    if m <= 0 then invalid_arg "Chain_rename.create: m must be positive";
+    { chain = Array.init m (fun i -> C.create mem ~name:(Printf.sprintf "%s.%d" name i)) }
+
+  let names t = Array.length t.chain
+
+  let rename t ~me =
+    let rec go i =
+      if i >= Array.length t.chain then None
+      else if C.compete t.chain.(i) ~me then Some i
+      else go (i + 1)
+    in
+    go 0
+
+  let steps_bound t = Compete.steps_bound * Array.length t.chain
+end
+
+include Make (Exsel_sim.Backend)

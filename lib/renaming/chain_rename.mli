@@ -13,15 +13,24 @@
     demonstrate the register/time trade-off; production code should use
     the certified algorithms. *)
 
-type t
+(** The chain over any {!Exsel_backend.Intf.S} substrate. *)
+module type S = sig
+  type memory
+  type t
 
-val create : Exsel_sim.Memory.t -> name:string -> m:int -> t
-(** A chain of [m] names using [2m] registers. *)
+  val create : memory -> name:string -> m:int -> t
+  (** A chain of [m] names using [2m] registers. *)
 
-val names : t -> int
+  val names : t -> int
 
-val rename : t -> me:int -> int option
-(** Walk the chain; [Some i] is the first name won.  At most [5m] local
-    steps. *)
+  val rename : t -> me:int -> int option
+  (** Walk the chain; [Some i] is the first name won.  At most [5m] local
+      steps. *)
 
-val steps_bound : t -> int
+  val steps_bound : t -> int
+end
+
+module Make (B : Exsel_backend.Intf.S) : S with type memory = B.memory
+
+include S with type memory = Exsel_sim.Memory.t
+(** The simulator instantiation. *)

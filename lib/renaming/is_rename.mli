@@ -18,15 +18,29 @@
     subdivision-walking algorithm reaching 2k−1 is out of scope
     (DESIGN.md). *)
 
-type t
+(** The renaming over any {!Exsel_backend.Intf.S} substrate. *)
+module type S = sig
+  type memory
+  type t
 
-val create : Exsel_sim.Memory.t -> name:string -> n:int -> t
+  val create : memory -> name:string -> n:int -> t
 
-val n : t -> int
+  val n : t -> int
 
-val rename : t -> slot:int -> int
-(** One-shot per slot ([0 .. n−1]); always succeeds (wait-free).  Must
-    run inside a runtime process. *)
+  val rename : t -> slot:int -> int
+  (** One-shot per slot ([0 .. n−1]); always succeeds (wait-free).  Must
+      run inside a backend process. *)
+
+  val steps_bound : t -> int
+  (** Worst-case local steps of [rename]: [(n+1)²] — one value write,
+      at most [n] levels of one write and [n] reads, and [n] value
+      reads. *)
+end
+
+module Make (B : Exsel_backend.Intf.S) : S with type memory = B.memory
+
+include S with type memory = Exsel_sim.Memory.t
+(** The simulator instantiation. *)
 
 val name_bound : contenders:int -> int
 (** Exclusive upper bound with [contenders] participants:

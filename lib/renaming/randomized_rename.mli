@@ -16,21 +16,30 @@
     refers to the algorithm's use of private coins, not to
     irreproducibility of the simulation. *)
 
-type t
+(** The table over any {!Exsel_backend.Intf.S} substrate: the coins are
+    pure OCaml, drawn by each caller on its own generator. *)
+module type S = sig
+  type memory
+  type t
 
-val create :
-  Exsel_sim.Memory.t -> name:string -> seed:int -> k:int -> epsilon:float -> t
-(** Table of [⌈(1+epsilon)·k⌉] slots (2 registers each).
-    @raise Invalid_argument if [k <= 0] or [epsilon <= 0]. *)
+  val create : memory -> name:string -> seed:int -> k:int -> epsilon:float -> t
+  (** Table of [⌈(1+epsilon)·k⌉] slots (2 registers each).
+      @raise Invalid_argument if [k <= 0] or [epsilon <= 0]. *)
 
-val slots : t -> int
-(** Table size — the bound [M] on names. *)
+  val slots : t -> int
+  (** Table size — the bound [M] on names. *)
 
-val rename : t -> me:int -> int option
-(** Probe slots in a private random order; [Some slot] on the first win,
-    [None] only if every slot was probed and lost (possible only when
-    contention reaches the table size).  Must run inside a runtime
-    process, once per process. *)
+  val rename : t -> me:int -> int option
+  (** Probe slots in a private random order; [Some slot] on the first win,
+      [None] only if every slot was probed and lost (possible only when
+      contention reaches the table size).  Must run inside a backend
+      process, once per process. *)
 
-val probes_bound : t -> int
-(** Worst-case probes of one call (the table size). *)
+  val probes_bound : t -> int
+  (** Worst-case probes of one call (the table size). *)
+end
+
+module Make (B : Exsel_backend.Intf.S) : S with type memory = B.memory
+
+include S with type memory = Exsel_sim.Memory.t
+(** The simulator instantiation. *)

@@ -16,13 +16,23 @@
     sit at levels [≤ ℓ], returning their values.  Wait-free, O(n²) reads,
     [2n] registers. *)
 
-type 'a t
+(** The object over any {!Exsel_backend.Intf.S} substrate: the level
+    descent only needs atomic registers. *)
+module type S = sig
+  type memory
+  type 'a t
 
-val create : Exsel_sim.Memory.t -> name:string -> n:int -> 'a t
+  val create : memory -> name:string -> n:int -> 'a t
 
-val size : 'a t -> int
+  val size : 'a t -> int
 
-val access : 'a t -> me:int -> 'a -> (int * 'a) list
-(** Deposit a value and obtain a view, as [(slot, value)] pairs sorted by
-    slot.  One-shot: each slot may call this at most once.  Must run
-    inside a runtime process. *)
+  val access : 'a t -> me:int -> 'a -> (int * 'a) list
+  (** Deposit a value and obtain a view, as [(slot, value)] pairs sorted
+      by slot.  One-shot: each slot may call this at most once.  Must run
+      inside a backend process. *)
+end
+
+module Make (B : Exsel_backend.Intf.S) : S with type memory = B.memory
+
+include S with type memory = Exsel_sim.Memory.t
+(** The simulator instantiation. *)
