@@ -232,10 +232,7 @@ let run_rename_native (algo : Conf_adapter.t) procs seed domains warmup
             ("metrics", Obs_metrics.to_json reg);
           ]
       in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> Json.output oc doc);
+      Trace_export.write_file path doc;
       Printf.printf "wrote %s\n" path
   | None -> ());
   let flight = lazy (H.trace_doc r) in
@@ -364,10 +361,7 @@ let run_rename_sim (algo : Conf_adapter.t) k n n_names procs seed crashes
                 ("span_trees", Span.to_json sp);
               ]
           in
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> Json.output oc doc);
+          Trace_export.write_file path doc;
           Printf.printf "wrote %s\n" path
       | None -> ());
       (match (chrome, trace) with

@@ -26,28 +26,20 @@ type completion = Claims.completion =
 (* No completion claim is Lemma 4's half bound over zero contenders,
    which demands no name. *)
 let check ~completion ~k ~outcomes ~bound ?steps_budget () =
-  match completion with
-  | Some completion -> Claims.check ~completion ~k ~outcomes ~bound ?steps_budget ()
-  | None -> Claims.check ~completion:Half_renamed ~k:0 ~outcomes ~bound ?steps_budget ()
+  let completion, k = match completion with Some c -> (c, k) | None -> (Half_renamed, 0) in
+  Claims.check ~completion ~k ~outcomes ~bound ?steps_budget ()
 
-let check_claims ~completion ~k ~(results : int option array)
-    ~(procs : Runtime.proc array) ~bound ~budget () =
-  let outcomes =
-    Array.mapi
-      (fun i p ->
-        {
-          Claims.name = Runtime.proc_name p;
-          status =
-            (match Runtime.status p with
-            | Runtime.Done -> Claims.Done
-            | Runtime.Crashed -> Claims.Crashed
-            | Runtime.Runnable -> Claims.Runnable);
-          result = results.(i);
-          steps = Runtime.steps p;
-        })
-      procs
-  in
-  check ~completion ~k ~outcomes ~bound ~steps_budget:budget ()
+let outcome (results : int option array) i p =
+  {
+    Claims.name = Runtime.proc_name p;
+    status =
+      (match Runtime.status p with
+      | Runtime.Done -> Claims.Done
+      | Runtime.Crashed -> Claims.Crashed
+      | Runtime.Runnable -> Claims.Runnable);
+    result = results.(i);
+    steps = Runtime.steps p;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Instances and runs                                                  *)
@@ -129,9 +121,9 @@ let spawn_instance ?(sinks = fun _ () -> ()) ~id ~completion ~steps_multiple
             results.(i) <- r))
   in
   spawned ();
-  let check =
-    check_claims ~completion ~k ~results ~procs ~bound:b.name_bound
-      ~budget:(steps_multiple *. b.steps_budget)
+  let check () =
+    check ~completion ~k ~outcomes:(Array.mapi (outcome results) procs)
+      ~bound:b.name_bound ~steps_budget:(steps_multiple *. b.steps_budget) ()
   in
   ({ Runner.runtime = rt; check }, b, results)
 
@@ -163,19 +155,15 @@ let generic ~id ~claim ?(honest = true) ~completion ?(max_k = max_int) ~campaign
     ~ids build =
   let module Build = (val build : BUILD) in
   let module Sim = Build (Backend) in
-  let instance = Sim.build in
   let make ~seed ~k ~steps_multiple =
-    let p = campaign ~seed ~k in
-    let ids = ids ~seed ~k in
+    let p = campaign ~seed ~k and ids = ids ~seed ~k in
     let init () =
-      let inst, _, _ =
-        spawn_instance ~id ~completion ~steps_multiple (instance p) ids
-      in
+      let inst, _, _ = spawn_instance ~id ~completion ~steps_multiple (Sim.build p) ids in
       inst
     in
     { Runner.algo = id; claim; init }
   in
-  { id; claim; honest; completion; max_k; campaign; ids; build; instance; make }
+  { id; claim; honest; completion; max_k; campaign; ids; build; instance = Sim.build; make }
 
 (* Contenders carrying distinct original names drawn from [0, bound). *)
 let distinct_ids ~seed ~k ~bound =

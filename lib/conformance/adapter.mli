@@ -1,11 +1,10 @@
 (** Algorithm adapters: every renaming algorithm behind one runner shape,
-    and the one place its instance is built.  The instance is a {!BUILD}
-    functor over the backend, so the campaigns, [exsel explore], the
-    reproduction tables, [exsel rename] and [exsel adversary] and the
-    native harness run the same instance on their own substrate.
+    and the one place its instance is built, from one {!params} record.
+    The instance is a {!BUILD} functor over the backend, so the
+    campaigns, [exsel explore], the reproduction tables, [exsel rename],
+    [exsel adversary] and native domains run the same instance.
 
-    Each adapter builds its algorithm from one {!params} record and
-    checks the algorithm's executable claims at quiescence:
+    Each adapter checks its algorithm's executable claims at quiescence:
 
     - {e exclusiveness} — no two processes hold the same name (for
       Compete: at most one winner);
@@ -34,10 +33,7 @@
 type params = {
   seed : int;  (** the instance's own generator seed *)
   k : int;  (** the contention the instance is built for *)
-  names : int;
-      (** [N]: contenders carry original names from [[0, N)] (Attiya's
-          slots, the expander constructions' inputs, Is_rename's
-          snapshot slots) *)
+  names : int;  (** [N]: original names lie in [[0, N)] *)
   n : int;  (** total processes, for the constructions that do not know [k] *)
   preset : Exsel_expander.Params.t;  (** expander dimensioning *)
   chain : int;  (** Chain's name count *)
@@ -60,10 +56,9 @@ type built = {
   name_bound : int;  (** claimed exclusive upper bound on names *)
   steps_budget : float;  (** local steps per process, before [steps_multiple] *)
   internals : unit -> (string * int) list;
-      (** the instance's own counters, read after a run: Efficient's
-          ["M'"], the ["reserve"] uses and ["top level"] of the adaptive
-          constructions, Basic's ["stage.i"] renamed counts (index
-          [stages] is the unserved) and ["budget.i"] contention budgets,
+      (** counters read after a run: Efficient's ["M'"], the adaptive
+          constructions' ["reserve"] uses and ["top level"], Basic's
+          ["stage.i"] renamed ([i = stages]: unserved) and ["budget.i"],
           Majority's ["degree"] *)
 }
 
@@ -83,20 +78,18 @@ type t = {
   id : string;  (** CLI-stable identifier, e.g. ["efficient"] *)
   claim : string;  (** paper claim exercised, e.g. ["Theorem 2"] *)
   honest : bool;  (** [false] for the negative-control target *)
-  completion : completion option;
-      (** [None]: no completion claim (Chain) *)
+  completion : completion option;  (** [None]: no completion claim *)
   max_k : int;
-      (** most contenders the campaign's original-name space admits
+      (** most contenders the campaigns' original-name space admits
           ([max_int] when ids are unbounded) *)
   campaign : seed:int -> k:int -> params;
-      (** the campaigns' instance for a campaign seed and contention *)
-  ids : seed:int -> k:int -> int array;
-      (** the campaigns' contenders' original names *)
+      (** the campaigns' instance, derived from the campaign seed *)
+  ids : seed:int -> k:int -> int array;  (** the campaigns' original names *)
   build : (module BUILD);
   instance : params -> Exsel_sim.Memory.t -> built;  (** [build] on the simulator *)
   make : seed:int -> k:int -> steps_multiple:float -> Runner.spec;
       (** the campaigns' instance on the simulator, [k] contenders on
-          [ids], checked against [completion] *)
+          [ids], checked against the claims *)
 }
 
 val all : t list
@@ -144,10 +137,8 @@ val run :
   driver:Runner.driver ->
   run
 (** [run a build ~ids ~driver] builds one instance with [build] (usually
-    [a.instance p]), spawns a contender per original name in [ids], and
-    drives it with {!Runner.drive} under [driver], checked against [a]'s
-    claims with the exact steps budget.  [completion] overrides [a]'s
-    rule, for runs that overload an instance on purpose.  [sinks rt] is
-    called after the instance is built and before its contenders spawn
-    (span sinks and tracers attach there); the function it returns is
-    called once they have spawned (probes attach there). *)
+    [a.instance p]), spawns a contender per original name in [ids] and
+    drives it with {!Runner.drive}, checked against [a]'s claims with
+    the exact steps budget; [completion] overrides [a]'s rule.  [sinks
+    rt] runs before the contenders spawn (span sinks attach there), the
+    function it returns after (probes attach there). *)

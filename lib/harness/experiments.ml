@@ -97,9 +97,9 @@ let drive ?completion ?lane ~label ~seed ~ids id p =
       ~max_commits:200_000_000 ?completion a build ~ids:(Array.of_list ids)
       ~driver:(Regime.random.Regime.make ~seed ~k:(List.length ids))
   in
-  (match r.Adapter.outcome.Exsel_conformance.Runner.failure with
-  | Some msg -> failwith (Printf.sprintf "%s (%s): %s" id label msg)
-  | None -> ());
+  Option.iter
+    (fun msg -> failwith (Printf.sprintf "%s (%s): %s" id label msg))
+    r.Adapter.outcome.Exsel_conformance.Runner.failure;
   let summary = Metrics.of_runtime r.Adapter.runtime in
   (match !observed with
   | Some (sp, pr) ->
@@ -366,21 +366,17 @@ let t6_store_collect () =
     rows
 
 let t7_lower_bound () =
+  let forced label ~n_names ~k ~m ~r (res : Adversary.result) =
+    label
+    :: List.map Table.cell_int
+         [ n_names; k; m; r; res.theoretical_stages; res.forced_stages; res.bound;
+           res.max_steps ]
+  in
   let case label id ~n_names ~k ~seed =
     let m, r, res =
       force_adversary (adapter id) (Adapter.params ~seed ~k ~names:n_names ())
     in
-    [
-      label;
-      Table.cell_int n_names;
-      Table.cell_int k;
-      Table.cell_int m;
-      Table.cell_int r;
-      Table.cell_int res.Adversary.theoretical_stages;
-      Table.cell_int res.Adversary.forced_stages;
-      Table.cell_int res.Adversary.bound;
-      Table.cell_int res.Adversary.max_steps;
-    ]
+    forced label ~n_names ~k ~m ~r res
   in
   let rows =
     [
@@ -405,20 +401,9 @@ let t7_lower_bound () =
     in
     let r = Memory.registers mem in
     let budget = R.Spec.store_lower_bound ~k ~n_names ~r - 1 in
-    let res =
-      Adversary.force ~stage_budget:budget rt ~spawn ~n_names ~k ~m:(SC.slots sc) ~r
-    in
-    [
-      "Store (Thm 7)";
-      Table.cell_int n_names;
-      Table.cell_int k;
-      Table.cell_int (SC.slots sc);
-      Table.cell_int r;
-      Table.cell_int res.Adversary.theoretical_stages;
-      Table.cell_int res.Adversary.forced_stages;
-      Table.cell_int res.Adversary.bound;
-      Table.cell_int res.Adversary.max_steps;
-    ]
+    let m = SC.slots sc in
+    forced "Store (Thm 7)" ~n_names ~k ~m ~r
+      (Adversary.force ~stage_budget:budget rt ~spawn ~n_names ~k ~m ~r)
   in
   let rows = rows @ [ store_case ~n_names:4096 ~k:8 ] in
   Table.make ~id:"T7" ~title:"Theorems 6-7: adversary-forced local steps"

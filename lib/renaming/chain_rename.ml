@@ -1,17 +1,6 @@
-module type S = sig
-  type memory
-  type t
-
-  val create : memory -> name:string -> m:int -> t
-  val names : t -> int
-  val rename : t -> me:int -> int option
-  val steps_bound : t -> int
-end
-
 module Make (B : Exsel_backend.Intf.S) = struct
   module C = Compete.Make (B)
 
-  type memory = B.memory
   type t = { chain : C.t array }
 
   let create mem ~name ~m =
@@ -30,5 +19,3 @@ module Make (B : Exsel_backend.Intf.S) = struct
 
   let steps_bound t = Compete.steps_bound * Array.length t.chain
 end
-
-include Make (Exsel_sim.Backend)

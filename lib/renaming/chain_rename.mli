@@ -14,11 +14,10 @@
     the certified algorithms. *)
 
 (** The chain over any {!Exsel_backend.Intf.S} substrate. *)
-module type S = sig
-  type memory
+module Make (B : Exsel_backend.Intf.S) : sig
   type t
 
-  val create : memory -> name:string -> m:int -> t
+  val create : B.memory -> name:string -> m:int -> t
   (** A chain of [m] names using [2m] registers. *)
 
   val names : t -> int
@@ -30,7 +29,3 @@ module type S = sig
   val steps_bound : t -> int
 end
 
-module Make (B : Exsel_backend.Intf.S) : S with type memory = B.memory
-
-include S with type memory = Exsel_sim.Memory.t
-(** The simulator instantiation. *)

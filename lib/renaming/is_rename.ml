@@ -1,17 +1,6 @@
-module type S = sig
-  type memory
-  type t
-
-  val create : memory -> name:string -> n:int -> t
-  val n : t -> int
-  val rename : t -> slot:int -> int
-  val steps_bound : t -> int
-end
-
 module Make (B : Exsel_backend.Intf.S) = struct
   module IS = Exsel_snapshot.Immediate_snapshot.Make (B)
 
-  type memory = B.memory
   type t = { n : int; snapshot : int IS.t }
 
   let create mem ~name ~n =
@@ -34,7 +23,5 @@ module Make (B : Exsel_backend.Intf.S) = struct
 
   let steps_bound t = (t.n + 1) * (t.n + 1)
 end
-
-include Make (Exsel_sim.Backend)
 
 let name_bound ~contenders = contenders * (contenders + 1) / 2

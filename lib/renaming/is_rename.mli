@@ -19,11 +19,10 @@
     (DESIGN.md). *)
 
 (** The renaming over any {!Exsel_backend.Intf.S} substrate. *)
-module type S = sig
-  type memory
+module Make (B : Exsel_backend.Intf.S) : sig
   type t
 
-  val create : memory -> name:string -> n:int -> t
+  val create : B.memory -> name:string -> n:int -> t
 
   val n : t -> int
 
@@ -37,10 +36,6 @@ module type S = sig
       reads. *)
 end
 
-module Make (B : Exsel_backend.Intf.S) : S with type memory = B.memory
-
-include S with type memory = Exsel_sim.Memory.t
-(** The simulator instantiation. *)
 
 val name_bound : contenders:int -> int
 (** Exclusive upper bound with [contenders] participants:

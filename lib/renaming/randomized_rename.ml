@@ -1,19 +1,8 @@
 module Rng = Exsel_sim.Rng
 
-module type S = sig
-  type memory
-  type t
-
-  val create : memory -> name:string -> seed:int -> k:int -> epsilon:float -> t
-  val slots : t -> int
-  val rename : t -> me:int -> int option
-  val probes_bound : t -> int
-end
-
 module Make (B : Exsel_backend.Intf.S) = struct
   module C = Compete.Make (B)
 
-  type memory = B.memory
 
   type t = {
     seed : int;
@@ -52,5 +41,3 @@ module Make (B : Exsel_backend.Intf.S) = struct
 
   let probes_bound t = Array.length t.table
 end
-
-include Make (Exsel_sim.Backend)

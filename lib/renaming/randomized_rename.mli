@@ -18,11 +18,10 @@
 
 (** The table over any {!Exsel_backend.Intf.S} substrate: the coins are
     pure OCaml, drawn by each caller on its own generator. *)
-module type S = sig
-  type memory
+module Make (B : Exsel_backend.Intf.S) : sig
   type t
 
-  val create : memory -> name:string -> seed:int -> k:int -> epsilon:float -> t
+  val create : B.memory -> name:string -> seed:int -> k:int -> epsilon:float -> t
   (** Table of [⌈(1+epsilon)·k⌉] slots (2 registers each).
       @raise Invalid_argument if [k <= 0] or [epsilon <= 0]. *)
 
@@ -39,7 +38,3 @@ module type S = sig
   (** Worst-case probes of one call (the table size). *)
 end
 
-module Make (B : Exsel_backend.Intf.S) : S with type memory = B.memory
-
-include S with type memory = Exsel_sim.Memory.t
-(** The simulator instantiation. *)

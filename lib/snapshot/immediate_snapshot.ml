@@ -1,14 +1,4 @@
-module type S = sig
-  type memory
-  type 'a t
-
-  val create : memory -> name:string -> n:int -> 'a t
-  val size : 'a t -> int
-  val access : 'a t -> me:int -> 'a -> (int * 'a) list
-end
-
 module Make (B : Exsel_backend.Intf.S) = struct
-  type memory = B.memory
 
   type 'a t = {
     n : int;
@@ -56,5 +46,3 @@ module Make (B : Exsel_backend.Intf.S) = struct
             assert false)
       members
 end
-
-include Make (Exsel_sim.Backend)

@@ -18,11 +18,10 @@
 
 (** The object over any {!Exsel_backend.Intf.S} substrate: the level
     descent only needs atomic registers. *)
-module type S = sig
-  type memory
+module Make (B : Exsel_backend.Intf.S) : sig
   type 'a t
 
-  val create : memory -> name:string -> n:int -> 'a t
+  val create : B.memory -> name:string -> n:int -> 'a t
 
   val size : 'a t -> int
 
@@ -32,7 +31,3 @@ module type S = sig
       inside a backend process. *)
 end
 
-module Make (B : Exsel_backend.Intf.S) : S with type memory = B.memory
-
-include S with type memory = Exsel_sim.Memory.t
-(** The simulator instantiation. *)

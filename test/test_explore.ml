@@ -168,7 +168,7 @@ let test_snapshot_exhaustive_tiny () =
 (* --- Immediate snapshot: the three properties, exhaustively --- *)
 
 let test_is_exhaustive_two () =
-  let module IS = Exsel_snapshot.Immediate_snapshot in
+  let module IS = Exsel_snapshot.Immediate_snapshot.Make (Backend) in
   let init () =
     let mem = Memory.create () in
     let rt = Runtime.create mem in
@@ -199,45 +199,13 @@ let test_is_exhaustive_two () =
   no_failure "immediate snapshot x2" o
 
 let test_is_rename_exhaustive_two () =
-  let init () =
-    let mem = Memory.create () in
-    let rt = Runtime.create mem in
-    let ir = R.Is_rename.create mem ~name:"ir" ~n:2 in
-    let names = Array.make 2 (-1) in
-    for i = 0 to 1 do
-      ignore
-        (Runtime.spawn rt ~name:(string_of_int i) (fun () ->
-             names.(i) <- R.Is_rename.rename ir ~slot:i))
-    done;
-    (names, rt)
-  in
-  let check names _rt =
-    if names.(0) >= 0 && names.(0) = names.(1) then Error "duplicate IS names"
-    else if names.(0) >= 3 || names.(1) >= 3 then Error "name beyond k(k+1)/2"
-    else Ok ()
-  in
+  let init, check = adapter_instance "is-rename" 2 in
   no_failure "is-rename x2" (Explore.run ~reduction:`Sleep_sets ~init ~check ())
 
 (* --- Chain rename: exclusiveness across the chain, exhaustively --- *)
 
 let test_chain_exhaustive () =
-  let init () =
-    let mem = Memory.create () in
-    let rt = Runtime.create mem in
-    let c = R.Chain_rename.create mem ~name:"ch" ~m:3 in
-    let names = Array.make 2 None in
-    for i = 0 to 1 do
-      ignore
-        (Runtime.spawn rt ~name:(string_of_int i) (fun () ->
-             names.(i) <- R.Chain_rename.rename c ~me:i))
-    done;
-    (names, rt)
-  in
-  let check names _rt =
-    match (names.(0), names.(1)) with
-    | Some a, Some b when a = b -> Error "duplicate chain name"
-    | (Some _ | None), (Some _ | None) -> Ok ()
-  in
+  let init, check = adapter_instance "chain" 2 in
   no_failure "chain x2" (Explore.run ~max_paths:2_000_000 ~init ~check ())
 
 (* --- Equivalence with the seed engine ---

@@ -2,6 +2,20 @@
 
 open Exsel_sim
 open Exsel_renaming
+module Randomized_rename = Randomized_rename.Make (Backend)
+module Is_rename_sim = Is_rename.Make (Backend)
+module Adapter = Exsel_conformance.Adapter
+
+(* Adapter [id]'s instance with parameters [p], contenders 0 .. p.k-1,
+   under the uniform regime seeded [seed]: every claim of the adapter
+   holds. *)
+let adapter_claims_hold id (p : Adapter.params) ~seed =
+  let a = Option.get (Adapter.find id) in
+  let r =
+    Adapter.run a (a.Adapter.instance p) ~ids:(Array.init p.k Fun.id)
+      ~driver:(Exsel_conformance.Regime.random.make ~seed ~k:p.k)
+  in
+  r.Adapter.outcome.failure = None
 
 (* Run [bodies] as concurrent processes under the given scheduling seed and
    return their results. *)
@@ -628,18 +642,7 @@ let prop_chain_exclusive =
   QCheck.Test.make ~name:"chain: exclusive names under any schedule" ~count:150
     QCheck.(pair small_int (int_range 2 5))
     (fun (seed, k) ->
-      let mem = Memory.create () in
-      let rt = Runtime.create mem in
-      let c = Chain_rename.create mem ~name:"ch" ~m:((2 * k) - 1) in
-      let names = Array.make k None in
-      for i = 0 to k - 1 do
-        ignore
-          (Runtime.spawn rt ~name:(string_of_int i) (fun () ->
-               names.(i) <- Chain_rename.rename c ~me:i))
-      done;
-      Scheduler.run rt (Scheduler.random (Rng.create ~seed));
-      let vals = Array.to_list names |> List.filter_map Fun.id in
-      List.length (List.sort_uniq compare vals) = List.length vals)
+      adapter_claims_hold "chain" (Adapter.params ~seed ~k ~names:k ()) ~seed)
 
 let prop_polylog_exclusive_random_dims =
   QCheck.Test.make ~name:"polylog: exclusive in-range names over random (k, N, seed)"
@@ -786,35 +789,17 @@ let test_moir_anderson_solo_takes_origin () =
 let test_is_rename_solo () =
   let mem = Memory.create () in
   let rt = Runtime.create mem in
-  let ir = Is_rename.create mem ~name:"ir" ~n:4 in
+  let ir = Is_rename_sim.create mem ~name:"ir" ~n:4 in
   let got = ref (-1) in
-  ignore (Runtime.spawn rt ~name:"p" (fun () -> got := Is_rename.rename ir ~slot:2));
+  ignore (Runtime.spawn rt ~name:"p" (fun () -> got := Is_rename_sim.rename ir ~slot:2));
   Scheduler.run rt (Scheduler.round_robin ());
   Alcotest.(check int) "solo gets the smallest name" 0 !got
 
 let test_is_rename_adaptive_bound () =
   for seed = 1 to 40 do
-    let n = 6 in
-    let k = 1 + (seed mod n) in
-    let mem = Memory.create () in
-    let rt = Runtime.create mem in
-    let ir = Is_rename.create mem ~name:"ir" ~n in
-    let names = Array.make k (-1) in
-    for i = 0 to k - 1 do
-      ignore
-        (Runtime.spawn rt ~name:(string_of_int i) (fun () ->
-             names.(i) <- Is_rename.rename ir ~slot:i))
-    done;
-    Scheduler.run rt (Scheduler.random (Rng.create ~seed));
-    let vals = Array.to_list names in
-    if List.length (List.sort_uniq compare vals) <> k then
-      Alcotest.failf "seed %d: duplicate names" seed;
-    List.iter
-      (fun v ->
-        if v < 0 || v >= Is_rename.name_bound ~contenders:k then
-          Alcotest.failf "seed %d: name %d outside k(k+1)/2=%d" seed v
-            (Is_rename.name_bound ~contenders:k))
-      vals
+    let k = 1 + (seed mod 6) in
+    if not (adapter_claims_hold "is-rename" (Adapter.params ~seed ~k ~names:6 ()) ~seed)
+    then Alcotest.failf "seed %d: a claim fails with %d of 6 slots" seed k
   done
 
 (* ------------------------------------------------------------------ *)
@@ -834,28 +819,12 @@ let test_randomized_solo () =
   Alcotest.(check bool) "few steps" true (Runtime.steps p <= Compete.steps_bound)
 
 let test_randomized_exclusive_and_live () =
-  let none_count = ref 0 in
   for seed = 1 to 40 do
     let k = 2 + (seed mod 6) in
-    let mem = Memory.create () in
-    let rt = Runtime.create mem in
-    let rr =
-      Randomized_rename.create mem ~name:"rr" ~seed:(seed * 17) ~k ~epsilon:1.0
-    in
-    let names = Array.make k None in
-    for i = 0 to k - 1 do
-      ignore
-        (Runtime.spawn rt ~name:(string_of_int i) (fun () ->
-             names.(i) <- Randomized_rename.rename rr ~me:i))
-    done;
-    Scheduler.run rt (Scheduler.random (Rng.create ~seed));
-    let vals = Array.to_list names |> List.filter_map Fun.id in
-    if List.length (List.sort_uniq compare vals) <> List.length vals then
-      Alcotest.failf "seed %d: duplicate slots" seed;
-    none_count := !none_count + (k - List.length vals)
-  done;
-  (* with a 2x-oversized table failures should be rare *)
-  Alcotest.(check bool) "at most a couple of misses over 40 runs" true (!none_count <= 2)
+    let p = Adapter.params ~seed:(seed * 17) ~k ~names:k () in
+    if not (adapter_claims_hold "randomized" p ~seed) then
+      Alcotest.failf "seed %d: a claim fails at k = %d" seed k
+  done
 
 let test_randomized_private_coins_deterministic () =
   let mem = Memory.create () in

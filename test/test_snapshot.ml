@@ -173,7 +173,7 @@ let test_wait_free_solo_scan_steps () =
   Scheduler.run rt (Scheduler.round_robin ());
   Alcotest.(check int) "2n reads" (2 * n) (Runtime.steps p)
 
-module IS = Exsel_snapshot.Immediate_snapshot
+module IS = Exsel_snapshot.Immediate_snapshot.Make (Exsel_sim.Backend)
 
 let is_run ~n ~participants ~seed =
   let mem = Memory.create () in
