@@ -376,9 +376,9 @@ let run_rename_sim (algo : Conf_adapter.t) k n n_names procs seed crashes
   | None -> ());
   if failure <> None || not distinct then exit 1
 
-(* Backend dispatch.  The sim path is byte-identical to the historical
-   behaviour; each backend rejects the other's exclusive flags with a
-   specific message and exit 2.  Native now renders --profile (register
+(* Backend dispatch.  Both backends run the adapter's instance; each
+   rejects the other's exclusive flags with a specific message and exit
+   2.  Native now renders --profile (register
    contention + per-domain stats from the probe/flight record) and
    --chrome (wall-clock trace) natively; --crash stays sim-only (real
    domains cannot be crashed mid-run), while --trace/--metrics-out/

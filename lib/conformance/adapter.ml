@@ -273,7 +273,8 @@ module Basic (B : Exsel_backend.Intf.S) = struct
       steps_budget = float_of_int (Bas.steps_bound b);
       internals =
         (fun () ->
-          List.mapi (fun i c -> (Printf.sprintf "budget.%d" i, c)) (Bas.stage_budgets b)
+          ("stages", Bas.stages b)
+          :: List.mapi (fun i c -> (Printf.sprintf "budget.%d" i, c)) (Bas.stage_budgets b)
           @ List.mapi
               (fun i c -> (Printf.sprintf "stage.%d" i, Atomic.get c))
               (Array.to_list renamed));

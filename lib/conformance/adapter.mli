@@ -58,7 +58,8 @@ type built = {
   internals : unit -> (string * int) list;
       (** counters read after a run: Efficient's ["M'"], the adaptive
           constructions' ["reserve"] uses and ["top level"], Basic's
-          ["stage.i"] renamed ([i = stages]: unserved) and ["budget.i"],
+          ["stages"], ["budget.i"] and ["stage.i"] renamed ([i = stages]:
+          unserved),
           Majority's ["degree"] *)
 }
 

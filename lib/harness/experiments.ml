@@ -76,10 +76,10 @@ type outcome = {
    with [lane], a fallback lane built after it in the same memory), a
    contender per original name in [ids], driven by Runner.drive under the
    uniform regime seeded [seed] and checked against the adapter's claims.
-   Rows that overload an instance on purpose pass [~completion:None]:
-   they check exclusiveness and the name bound, not completion.  [label]
+   Rows that overload an instance on purpose are outside its completion
+   claim: they check exclusiveness, the name bound and steps.  [label]
    tags the queued observation when observing is on. *)
-let drive ?completion ?lane ~label ~seed ~ids id p =
+let drive ?(overloaded = false) ?lane ~label ~seed ~ids id p =
   let a = adapter id in
   let st = obs_state () in
   let observed = ref None in
@@ -94,7 +94,9 @@ let drive ?completion ?lane ~label ~seed ~ids id p =
   let r =
     Adapter.run
       ?sinks:(if st.observing then Some sinks else None)
-      ~max_commits:200_000_000 ?completion a build ~ids:(Array.of_list ids)
+      ~max_commits:200_000_000
+      ?completion:(if overloaded then Some None else None)
+      a build ~ids:(Array.of_list ids)
       ~driver:(Regime.random.Regime.make ~seed ~k:(List.length ids))
   in
   Option.iter
@@ -544,7 +546,7 @@ let f1_majority_progress () =
     let contenders = k * factor in
     let o =
       drive
-        ?completion:(if factor > 1 then Some None else None)
+        ~overloaded:(factor > 1)
         ~label:(Printf.sprintf "contenders=%d" contenders)
         ~seed:96 ~ids:(ids_spread ~count:contenders ~bound:n_names) "basic"
         (Adapter.params ~seed:(95 + factor) ~k ~names:n_names ())
@@ -552,13 +554,14 @@ let f1_majority_progress () =
     (contenders, o)
   in
   let runs = List.map run_factor [ 1; 16; 40 ] in
-  let budget s = List.assoc_opt (Printf.sprintf "budget.%d" s) (snd (List.hd runs)).internals in
-  let stages = List.length (List.filter (fun (key, _) -> String.starts_with ~prefix:"budget." key) (snd (List.hd runs)).internals) in
+  let first = snd (List.hd runs) in
+  let stages = internal first "stages" in
   let rows =
     List.init (stages + 1) (fun s ->
-        let label = if s < stages then Table.cell_int s else "unserved" in
-        let budget =
-          match budget s with Some b -> Table.cell_int b | None -> "-"
+        let label, budget =
+          if s < stages then
+            (Table.cell_int s, Table.cell_int (internal first (Printf.sprintf "budget.%d" s)))
+          else ("unserved", "-")
         in
         label :: budget
         :: List.map
@@ -755,7 +758,7 @@ let a3_reserve_lane () =
         let rescued = ref 0 in
         let o =
           drive
-            ?completion:(if factor > 1 then Some None else None)
+            ~overloaded:(factor > 1)
             ~lane:(reserve_lane ~side:contenders ~rescued)
             ~label:(Printf.sprintf "contenders=%d" contenders)
             ~seed:(factor + 40)
