@@ -14,7 +14,7 @@ module Metrics = Exsel_obs.Metrics
 
    The checks themselves live in Exsel_backend.Claims, backend-free over
    a decision log, so the native harness runs the very same logic
-   post hoc; [check_claims] snapshots the simulator's per-process state
+   post hoc; [outcome] snapshots the simulator's per-process state
    (name, status, local-step clock) into outcome records. *)
 module Claims = Exsel_backend.Claims
 
@@ -75,6 +75,16 @@ type built = {
 module type BUILD = functor (B : Exsel_backend.Intf.S) -> sig
   val build : params -> B.memory -> built
 end
+
+(* Contenders carrying distinct original names drawn from [0, bound). *)
+let distinct_ids ~seed ~k ~bound =
+  let a = Array.init bound Fun.id in
+  Rng.shuffle (Rng.create ~seed:(seed + 0x1d5)) a;
+  Array.sub a 0 k
+
+let arbitrary_ids ~seed:_ ~k ~stride ~base = Array.init k (fun i -> base + (stride * i))
+
+let own_ids ~seed:_ ~k = Array.init k Fun.id
 
 type t = {
   id : string;
@@ -164,16 +174,6 @@ let generic ~id ~claim ?(honest = true) ~completion ?(max_k = max_int) ~campaign
     { Runner.algo = id; claim; init }
   in
   { id; claim; honest; completion; max_k; campaign; ids; build; instance = Sim.build; make }
-
-(* Contenders carrying distinct original names drawn from [0, bound). *)
-let distinct_ids ~seed ~k ~bound =
-  let a = Array.init bound Fun.id in
-  Rng.shuffle (Rng.create ~seed:(seed + 0x1d5)) a;
-  Array.sub a 0 k
-
-let arbitrary_ids ~seed:_ ~k ~stride ~base = Array.init k (fun i -> base + (stride * i))
-
-let own_ids ~seed:_ ~k = Array.init k Fun.id
 
 (* ------------------------------------------------------------------ *)
 (* The adapters                                                       *)
@@ -438,9 +438,10 @@ module Buggy_ma (B : Exsel_backend.Intf.S) = struct
 end
 
 (* The campaigns' instances: each derives its own seed from the campaign
-   seed, and draws ids from its own original-name space. *)
-let campaign_with ?(salt = 1) ?names ?n () ~seed ~k =
-  params ?n ~seed:(seed * salt) ~k ~names:(Option.value names ~default:k) ()
+   seed (by its own salt) and fixes its original-name space ([k] unless
+   the algorithm needs a larger one). *)
+let campaign_with ?(salt = 1) ?names () ~seed ~k =
+  params ~seed:(seed * salt) ~k ~names:(Option.value names ~default:k) ()
 
 let honest =
   [
