@@ -161,14 +161,34 @@ let run ?sinks ?max_commits ?completion a build ~ids ~driver =
   | Some (runtime, built, results) -> { outcome; runtime; results; built }
   | None -> assert false (* drive builds exactly one instance *)
 
+(* [f ()] on the first call and its result on every later one, from any
+   domain.  A [Lazy.t] would not do: forcing one while another domain
+   forces it raises [Lazy.Undefined]. *)
+let once f =
+  let m = Mutex.create () and v = ref None in
+  fun () ->
+    Mutex.protect m (fun () ->
+        match !v with
+        | Some x -> x
+        | None ->
+            let x = f () in
+            v := Some x;
+            x)
+
 let generic ~id ~claim ?(honest = true) ~completion ?(max_k = max_int) ~campaign
     ~ids build =
   let module Build = (val build : BUILD) in
   let module Sim = Build (Backend) in
+  (* A spec's first [init] runs [Sim.build p]'s backend-free part (the
+     staged constructions' certified graphs); every [init] then only
+     allocates a fresh instance's registers.  So the campaign cells, the
+     shrink and the explorer's replays that share a spec build its plan
+     once. *)
   let make ~seed ~k ~steps_multiple =
-    let p = campaign ~seed ~k and ids = ids ~seed ~k in
+    let staged = once (fun () -> (Sim.build (campaign ~seed ~k), ids ~seed ~k)) in
     let init () =
-      let inst, _, _ = spawn_instance ~id ~completion ~steps_multiple (Sim.build p) ids in
+      let build, ids = staged () in
+      let inst, _, _ = spawn_instance ~id ~completion ~steps_multiple build ids in
       inst
     in
     { Runner.algo = id; claim; init }
@@ -239,62 +259,68 @@ end
 module Majority (B : Exsel_backend.Intf.S) = struct
   module M = R.Majority.Make (B)
 
-  let build p mem =
-    let m =
-      M.create ~params:p.preset ~rng:(Rng.create ~seed:p.seed) mem ~name:"maj"
-        ~l:p.k ~inputs:p.names
+  let build p =
+    let plan =
+      R.Majority.plan ~params:p.preset ~rng:(Rng.create ~seed:p.seed) ~l:p.k
+        ~inputs:p.names ()
     in
-    {
-      rename = (fun ~me -> M.rename m ~me);
-      name_bound = M.names m;
-      steps_budget = float_of_int (M.steps_bound m);
-      internals =
-        (fun () -> [ ("degree", Exsel_expander.Bipartite.degree (M.graph m)) ]);
-    }
+    fun mem ->
+      let m = M.of_plan plan mem ~name:"maj" in
+      {
+        rename = (fun ~me -> M.rename m ~me);
+        name_bound = M.names m;
+        steps_budget = float_of_int (M.steps_bound m);
+        internals =
+          (fun () -> [ ("degree", Exsel_expander.Bipartite.degree (M.graph m)) ]);
+      }
 end
 
 module Basic (B : Exsel_backend.Intf.S) = struct
   module Bas = R.Basic_rename.Make (B)
 
-  let build p mem =
-    let b =
-      Bas.create ~params:p.preset ~rng:(Rng.create ~seed:p.seed) mem ~name:"bas"
-        ~k:p.k ~inputs:p.names
+  let build p =
+    let plan =
+      R.Basic_rename.plan ~params:p.preset ~rng:(Rng.create ~seed:p.seed) ~k:p.k
+        ~inputs:p.names ()
     in
-    (* renamed per stage; the last slot counts the unserved *)
-    let renamed = Array.init (Bas.stages b + 1) (fun _ -> Atomic.make 0) in
-    {
-      rename =
-        (fun ~me ->
-          let name, stage = Bas.rename_traced b ~me in
-          Atomic.incr renamed.(stage);
-          name);
-      name_bound = Bas.names b;
-      steps_budget = float_of_int (Bas.steps_bound b);
-      internals =
-        (fun () ->
-          ("stages", Bas.stages b)
-          :: List.mapi (fun i c -> (Printf.sprintf "budget.%d" i, c)) (Bas.stage_budgets b)
-          @ List.mapi
-              (fun i c -> (Printf.sprintf "stage.%d" i, Atomic.get c))
-              (Array.to_list renamed));
-    }
+    fun mem ->
+      let b = Bas.of_plan plan mem ~name:"bas" in
+      (* renamed per stage; the last slot counts the unserved *)
+      let renamed = Array.init (Bas.stages b + 1) (fun _ -> Atomic.make 0) in
+      {
+        rename =
+          (fun ~me ->
+            let name, stage = Bas.rename_traced b ~me in
+            Atomic.incr renamed.(stage);
+            name);
+        name_bound = Bas.names b;
+        steps_budget = float_of_int (Bas.steps_bound b);
+        internals =
+          (fun () ->
+            ("stages", Bas.stages b)
+            :: List.mapi (fun i c -> (Printf.sprintf "budget.%d" i, c)) (Bas.stage_budgets b)
+            @ List.mapi
+                (fun i c -> (Printf.sprintf "stage.%d" i, Atomic.get c))
+                (Array.to_list renamed));
+      }
 end
 
 module Polylog (B : Exsel_backend.Intf.S) = struct
   module P = R.Polylog_rename.Make (B)
 
-  let build p mem =
-    let pl =
-      P.create ~params:p.preset ~rng:(Rng.create ~seed:p.seed) mem ~name:"pl"
-        ~k:p.k ~inputs:p.names
+  let build p =
+    let plan =
+      R.Polylog_rename.plan ~params:p.preset ~rng:(Rng.create ~seed:p.seed) ~k:p.k
+        ~inputs:p.names ()
     in
-    {
-      rename = (fun ~me -> P.rename pl ~me);
-      name_bound = P.names pl;
-      steps_budget = float_of_int (P.steps_bound pl);
-      internals = none;
-    }
+    fun mem ->
+      let pl = P.of_plan plan mem ~name:"pl" in
+      {
+        rename = (fun ~me -> P.rename pl ~me);
+        name_bound = P.names pl;
+        steps_budget = float_of_int (P.steps_bound pl);
+        internals = none;
+      }
 end
 
 module Efficient (B : Exsel_backend.Intf.S) = struct
@@ -325,25 +351,27 @@ let rec raise_to top level =
 module Almost_adaptive (B : Exsel_backend.Intf.S) = struct
   module A = R.Almost_adaptive.Make (B)
 
-  let build p mem =
-    let a =
-      A.create ~params:p.preset ~rng:(Rng.create ~seed:p.seed) mem ~name:"aa"
-        ~n:p.n ~inputs:p.names
+  let build p =
+    let plan =
+      R.Almost_adaptive.plan ~params:p.preset ~rng:(Rng.create ~seed:p.seed) ~n:p.n
+        ~inputs:p.names ()
     in
-    let top = Atomic.make 0 in
-    {
-      rename =
-        (fun ~me ->
-          let name, level = A.rename_leveled a ~me in
-          raise_to top level;
-          Some name);
-      name_bound = A.name_bound_for_contention a ~k:p.k;
-      (* Spec shape with a calibrated constant: the doubling retries
-         every level up to ceil(lg k), each a full PolyLog run *)
-      steps_budget = 40.0 *. R.Spec.almost_adaptive_steps ~k:p.k ~n_names:p.names;
-      internals =
-        (fun () -> [ ("top level", Atomic.get top); ("reserve", A.reserve_uses a) ]);
-    }
+    fun mem ->
+      let a = A.of_plan plan mem ~name:"aa" in
+      let top = Atomic.make 0 in
+      {
+        rename =
+          (fun ~me ->
+            let name, level = A.rename_leveled a ~me in
+            raise_to top level;
+            Some name);
+        name_bound = A.name_bound_for_contention a ~k:p.k;
+        (* Spec shape with a calibrated constant: the doubling retries
+           every level up to ceil(lg k), each a full PolyLog run *)
+        steps_budget = 40.0 *. R.Spec.almost_adaptive_steps ~k:p.k ~n_names:p.names;
+        internals =
+          (fun () -> [ ("top level", Atomic.get top); ("reserve", A.reserve_uses a) ]);
+      }
 end
 
 module Adaptive (B : Exsel_backend.Intf.S) = struct

@@ -65,7 +65,14 @@ type built = {
 
 (** An instance, written once over any backend: its seeds, register names
     and budgets do not depend on [B], so the simulator, the explorer and
-    native domains run the same instance. *)
+    native domains run the same instance.
+
+    [build p] may do work before it takes the memory; the expander
+    adapters certify their {!type:Exsel_renaming.Majority.plan}s there.  That
+    work must be pure and its result immutable: one [build p] then
+    serves many memories, one per instance, on any domain.  Whatever a
+    run changes (registers, counters such as Basic's per-stage counts or
+    Almost-Adaptive's top level) is made after the memory is taken. *)
 module type BUILD = functor (B : Exsel_backend.Intf.S) -> sig
   val build : params -> B.memory -> built
 end
@@ -90,7 +97,10 @@ type t = {
   instance : params -> Exsel_sim.Memory.t -> built;  (** [build] on the simulator *)
   make : seed:int -> k:int -> steps_multiple:float -> Runner.spec;
       (** the campaigns' instance on the simulator, [k] contenders on
-          [ids], checked against the claims *)
+          [ids], checked against the claims.  [make] builds nothing: the
+          spec's first [init] runs [instance p]'s work before the memory,
+          under a mutex, and every [init] allocates a fresh instance from
+          it *)
 }
 
 val all : t list

@@ -106,11 +106,8 @@ let is_liveness msg = String.length msg >= 9 && String.sub msg 0 9 = "liveness:"
    result stays readable; beyond this many choices we skip the trace. *)
 let trace_cap = 5_000
 
-let analyse cfg (adapter : Adapter.t) (regime : Regime.t) ~seed
+let analyse cfg (adapter : Adapter.t) (regime : Regime.t) ~seed spec
     (outcome : Runner.outcome) ~failure =
-  let spec =
-    adapter.Adapter.make ~seed ~k:cfg.k ~steps_multiple:cfg.steps_multiple
-  in
   let init, check = Runner.explorable spec in
   let shrunk, shrunk_failure =
     if cfg.shrink && not (is_liveness failure) then begin
@@ -145,7 +142,7 @@ let analyse cfg (adapter : Adapter.t) (regime : Regime.t) ~seed
   }
 
 let run_cell cfg ?(on_event = fun (_ : event) -> ()) ~index
-    (adapter : Adapter.t) (regime : Regime.t) =
+    (adapter : Adapter.t) specs (regime : Regime.t) =
   let seeds_run = ref 0 in
   let commits = ref 0 in
   let max_steps = ref 0 in
@@ -167,11 +164,7 @@ let run_cell cfg ?(on_event = fun (_ : event) -> ()) ~index
     (Cell_started { index; algo = adapter.Adapter.id; regime = regime.Regime.id });
   let rec go = function
     | [] -> ()
-    | seed :: rest ->
-        let spec =
-          adapter.Adapter.make ~seed ~k:cfg.k
-            ~steps_multiple:cfg.steps_multiple
-        in
+    | (seed, spec) :: rest ->
         let driver = regime.Regime.make ~seed ~k:cfg.k in
         let outcome =
           Metrics.with_ambient reg (fun () ->
@@ -188,12 +181,12 @@ let run_cell cfg ?(on_event = fun (_ : event) -> ()) ~index
         (match outcome.Runner.failure with
         | None -> go rest
         | Some failure ->
-            let v = analyse cfg adapter regime ~seed outcome ~failure in
+            let v = analyse cfg adapter regime ~seed spec outcome ~failure in
             Metrics.inc violations_c 1;
             on_event (Cell_violated { index; violation = v });
             violation := Some v)
   in
-  go cfg.seeds;
+  go specs;
   let cell =
     {
       c_algo = adapter.Adapter.id;
@@ -213,30 +206,41 @@ let run_cell cfg ?(on_event = fun (_ : event) -> ()) ~index
 let run ?(jobs = 1) ?(on_cell = fun _ -> ()) ?(on_event = fun _ -> ()) cfg =
   (* Every cell (algo × regime, seeds run in order inside it) is an
      independent unit of work: each run builds its own memory, runtime,
-     rng and observers, and all simulator ambient state is domain-local.
+     counters and observers over an immutable plan, and all simulator
+     ambient state is domain-local.
      Pool.map returns cell outcomes in matrix order regardless of which
      domain finished first, so the report — including each cell's first
      violation, its shrunk counterexample and its replayed trace — is
-     identical at every [jobs]. *)
+     identical at every [jobs].  One spec per adapter and seed serves
+     that adapter's regime cells and the analysis of their violations,
+     so each instance's plan is built once, by the first cell that runs
+     it (Adapter.make builds nothing before its first init). *)
   let matrix =
     List.concat_map
-      (fun adapter -> List.map (fun regime -> (adapter, regime)) cfg.regimes)
+      (fun (adapter : Adapter.t) ->
+        let specs =
+          List.map
+            (fun seed ->
+              (seed, adapter.make ~seed ~k:cfg.k ~steps_multiple:cfg.steps_multiple))
+            cfg.seeds
+        in
+        List.map (fun regime -> (adapter, specs, regime)) cfg.regimes)
       cfg.algos
   in
-  let matrix = List.mapi (fun index (a, r) -> (index, a, r)) matrix in
+  let matrix = List.mapi (fun index (a, s, r) -> (index, a, s, r)) matrix in
   let cells =
     if jobs <= 1 then
       List.map
-        (fun (index, adapter, regime) ->
-          let cell = run_cell cfg ~on_event ~index adapter regime in
+        (fun (index, adapter, specs, regime) ->
+          let cell = run_cell cfg ~on_event ~index adapter specs regime in
           on_cell cell;
           cell)
         matrix
     else begin
       let cells =
         Exsel_sim.Pool.map ~jobs
-          (fun (index, adapter, regime) ->
-            run_cell cfg ~on_event ~index adapter regime)
+          (fun (index, adapter, specs, regime) ->
+            run_cell cfg ~on_event ~index adapter specs regime)
           matrix
       in
       List.iter on_cell cells;

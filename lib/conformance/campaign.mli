@@ -100,9 +100,13 @@ val run :
   ?on_event:(event -> unit) ->
   config ->
   report
-(** Execute the matrix.  [jobs] (default 1) shards the cells across that
-    many domains ({!Exsel_sim.Pool}); every cell is an independent unit
-    of work and results are merged in matrix order, so the report —
+(** Execute the matrix.  Each adapter and seed has one spec from the
+    adapter's [make], shared by that adapter's regime cells and the
+    shrink and trace replays of their violations, so each instance's
+    plan is built once per call, by the first cell that runs it.  [jobs]
+    (default 1) shards the cells across that many domains
+    ({!Exsel_sim.Pool}); every cell is an independent unit of work and
+    results are merged in matrix order, so the report —
     cell outcomes, first-violation-per-cell, shrunk counterexamples,
     replayed traces, merged metrics — is field-for-field identical at
     every [jobs] (DESIGN.md §10).  [on_cell] is called after each

@@ -4,6 +4,22 @@ let span_reserve = "almost-adaptive:reserve"
 
 let rec ceil_lg n = if n <= 1 then 0 else 1 + ceil_lg ((n + 1) / 2)
 
+(* Level [i]'s PolyLog plan, for contention [min n 2^i], and the reserve
+   grid's side. *)
+type plan = { levels : Polylog_rename.plan array; n : int }
+
+let plan ?params ~rng ~n ~inputs () =
+  if n <= 0 then invalid_arg "Almost_adaptive.plan: n must be positive";
+  if inputs <= 0 then invalid_arg "Almost_adaptive.plan: inputs must be positive";
+  let levels =
+    Array.init
+      (ceil_lg n + 1)
+      (fun i ->
+        Polylog_rename.plan ?params ~rng:(Exsel_sim.Rng.split rng) ~k:(min n (1 lsl i))
+          ~inputs ())
+  in
+  { levels; n }
+
 module type S = sig
   type memory
   type t
@@ -17,6 +33,7 @@ module type S = sig
     inputs:int ->
     t
 
+  val of_plan : plan -> memory -> name:string -> t
   val levels : t -> int
   val rename : t -> me:int -> int
   val rename_leveled : t -> me:int -> int * int
@@ -40,29 +57,25 @@ module Make (B : Exsel_backend.Intf.S) = struct
     reserve_uses : int Atomic.t;  (* concurrent increments on native *)
   }
 
-  let create ?params ~rng mem ~name ~n ~inputs =
-    if n <= 0 then invalid_arg "Almost_adaptive.create: n must be positive";
-    if inputs <= 0 then invalid_arg "Almost_adaptive.create: inputs must be positive";
+  let of_plan (p : plan) mem ~name =
     let ranges = Name_range.allocator () in
     let levels =
-      Array.init
-        (ceil_lg n + 1)
-        (fun i ->
-          let k = min n (1 lsl i) in
-          let polylog =
-            Polylog.create ?params ~rng:(Exsel_sim.Rng.split rng) mem
-              ~name:(Printf.sprintf "%s.lvl%d" name i)
-              ~k ~inputs
-          in
+      Array.mapi
+        (fun i pl ->
+          let polylog = Polylog.of_plan pl mem ~name:(Printf.sprintf "%s.lvl%d" name i) in
           {
             polylog;
             range = Name_range.take ranges (Polylog.names polylog);
             span_label = Printf.sprintf "almost-adaptive:level=%d" i;
           })
+        p.levels
     in
-    let reserve = MA.create mem ~name:(name ^ ".reserve") ~side:n in
+    let reserve = MA.create mem ~name:(name ^ ".reserve") ~side:p.n in
     let reserve_range = Name_range.take ranges (MA.capacity reserve) in
     { levels; reserve; reserve_range; reserve_uses = Atomic.make 0 }
+
+  let create ?params ~rng mem ~name ~n ~inputs =
+    of_plan (plan ?params ~rng ~n ~inputs ()) mem ~name
 
   let levels t = Array.length t.levels
 

@@ -11,6 +11,20 @@
     unconditional wait-freedom reserve; it is not used in any certified
     run and its use is observable via {!reserve_uses}. *)
 
+type plan
+(** The backend-free, immutable half of an instance: one
+    {!type:Polylog_rename.plan} per level and the reserve grid's side.  The
+    reserve's use count is an instance's, not the plan's. *)
+
+val plan :
+  ?params:Exsel_expander.Params.t ->
+  rng:Exsel_sim.Rng.t ->
+  n:int ->
+  inputs:int ->
+  unit ->
+  plan
+(** Certify every level's graphs, each level on its own split of [rng]. *)
+
 (** The construction over any {!Exsel_backend.Intf.S} substrate. *)
 module type S = sig
   type memory
@@ -25,7 +39,12 @@ module type S = sig
     inputs:int ->
     t
   (** [n] is the total number of processes (bounds the doubling); [inputs]
-      is the known bound [N] on original names. *)
+      is the known bound [N] on original names.  [create] is
+      [of_plan (plan ?params ~rng ~n ~inputs ()) mem ~name]. *)
+
+  val of_plan : plan -> memory -> name:string -> t
+  (** Allocate a fresh instance's registers in [mem]: the levels in
+      order, then the reserve. *)
 
   val levels : t -> int
 

@@ -13,6 +13,17 @@ let plan_names ?(params = Exsel_expander.Params.practical) ~k ~inputs () =
     (fun acc l -> acc + Exsel_expander.Params.width params ~inputs ~l)
     0 (budgets k)
 
+(* One Majority plan per stage, each on its own split of [rng]. *)
+type plan = Majority.plan array
+
+let plan ?params ~rng ~k ~inputs () =
+  if k <= 0 then invalid_arg "Basic_rename.plan: k must be positive";
+  budgets k
+  |> List.map (fun l -> Majority.plan ?params ~rng:(Exsel_sim.Rng.split rng) ~l ~inputs ())
+  |> Array.of_list
+
+let names_of_plan p = Array.fold_left (fun acc m -> acc + Majority.names_of_plan m) 0 p
+
 module type S = sig
   type memory
   type t
@@ -26,6 +37,7 @@ module type S = sig
     inputs:int ->
     t
 
+  val of_plan : plan -> memory -> name:string -> t
   val stages : t -> int
   val names : t -> int
   val stage_budgets : t -> int list
@@ -44,25 +56,24 @@ module Make (B : Exsel_backend.Intf.S) = struct
 
   type t = { stages : stage array; names : int }
 
-  let create ?params ~rng mem ~name ~k ~inputs =
-    if k <= 0 then invalid_arg "Basic_rename.create: k must be positive";
+  let of_plan p mem ~name =
     let ranges = Name_range.allocator () in
     let stages =
-      budgets k
-      |> List.mapi (fun i l ->
-             let majority =
-               Maj.create ?params ~rng:(Exsel_sim.Rng.split rng) mem
-                 ~name:(Printf.sprintf "%s.stage%d" name i)
-                 ~l ~inputs
-             in
-             {
-               majority;
-               range = Name_range.take ranges (Maj.names majority);
-               span_label = Printf.sprintf "basic:stage=%d:budget=%d" i l;
-             })
-      |> Array.of_list
+      Array.mapi
+        (fun i m ->
+          let majority = Maj.of_plan m mem ~name:(Printf.sprintf "%s.stage%d" name i) in
+          {
+            majority;
+            range = Name_range.take ranges (Maj.names majority);
+            span_label =
+              Printf.sprintf "basic:stage=%d:budget=%d" i (Maj.contention_budget majority);
+          })
+        p
     in
     { stages; names = Name_range.used ranges }
+
+  let create ?params ~rng mem ~name ~k ~inputs =
+    of_plan (plan ?params ~rng ~k ~inputs ()) mem ~name
 
   let stages t = Array.length t.stages
   let names t = t.names

@@ -9,6 +9,22 @@
     Bounds: [O(log k · log N)] local steps, [M = O(k·log(N/k))] new names,
     [r = O(k·log(N/k))] registers. *)
 
+type plan
+(** The backend-free, immutable half of an instance: one
+    {!type:Majority.plan} per stage. *)
+
+val plan :
+  ?params:Exsel_expander.Params.t ->
+  rng:Exsel_sim.Rng.t ->
+  k:int ->
+  inputs:int ->
+  unit ->
+  plan
+(** Certify every stage's graph, each on its own split of [rng]. *)
+
+val names_of_plan : plan -> int
+(** The {!S.names} of every instance built from the plan. *)
+
 (** The construction over any {!Exsel_backend.Intf.S} substrate. *)
 module type S = sig
   type memory
@@ -22,6 +38,10 @@ module type S = sig
     k:int ->
     inputs:int ->
     t
+  (** [of_plan (plan ?params ~rng ~k ~inputs ()) mem ~name]. *)
+
+  val of_plan : plan -> memory -> name:string -> t
+  (** Allocate a fresh instance's registers in [mem], stage by stage. *)
 
   val stages : t -> int
 

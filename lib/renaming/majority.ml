@@ -24,6 +24,17 @@ let sample_certified rng params ~inputs ~l ~attempts =
   in
   go attempts
 
+(* The backend-free half of an instance: every draw on [rng] happens
+   here, so instances built from one plan share its graph. *)
+type plan = { graph : Bipartite.t; l : int }
+
+let plan ?(params = Params.practical) ~rng ~l ~inputs () =
+  if l <= 0 then invalid_arg "Majority.plan: l must be positive";
+  if inputs <= 0 then invalid_arg "Majority.plan: inputs must be positive";
+  { graph = sample_certified rng params ~inputs ~l ~attempts:16; l }
+
+let names_of_plan p = Bipartite.outputs p.graph
+
 module type S = sig
   type memory
   type t
@@ -37,6 +48,7 @@ module type S = sig
     inputs:int ->
     t
 
+  val of_plan : plan -> memory -> name:string -> t
   val graph : t -> Exsel_expander.Bipartite.t
   val contention_budget : t -> int
   val names : t -> int
@@ -57,15 +69,15 @@ module Make (B : Exsel_backend.Intf.S) = struct
     span_label : string;
   }
 
-  let create ?(params = Params.practical) ~rng mem ~name ~l ~inputs =
-    if l <= 0 then invalid_arg "Majority.create: l must be positive";
-    if inputs <= 0 then invalid_arg "Majority.create: inputs must be positive";
-    let graph = sample_certified rng params ~inputs ~l ~attempts:16 in
+  let of_plan ({ graph; l } : plan) mem ~name =
     let competitions =
       Array.init (Bipartite.outputs graph) (fun w ->
           C.create mem ~name:(Printf.sprintf "%s.out%d" name w))
     in
     { graph; l; competitions; span_label = Printf.sprintf "majority:budget=%d" l }
+
+  let create ?params ~rng mem ~name ~l ~inputs =
+    of_plan (plan ?params ~rng ~l ~inputs ()) mem ~name
 
   let graph t = t.graph
   let contention_budget t = t.l

@@ -12,6 +12,26 @@
     [5Δ = O(log N)] local steps.  Uses [2·M] registers where
     [M = O(ℓ log(N/ℓ))] is the output count. *)
 
+type plan
+(** The backend-free, immutable half of an instance: its certified graph
+    and contention budget.  One plan backs any number of instances, on
+    any backend and any domain. *)
+
+val plan :
+  ?params:Exsel_expander.Params.t ->
+  rng:Exsel_sim.Rng.t ->
+  l:int ->
+  inputs:int ->
+  unit ->
+  plan
+(** [plan ~rng ~l ~inputs ()] samples and certifies the graph for
+    contention budget [l] over original names [0 .. inputs−1], drawing
+    only on [rng].  [params] defaults to
+    {!Exsel_expander.Params.practical}. *)
+
+val names_of_plan : plan -> int
+(** The {!S.names} of every instance built from the plan. *)
+
 (** The construction over any {!Exsel_backend.Intf.S} substrate.  Graph
     sampling stays on the deterministic simulator RNG on every backend so
     a seed names the same expander everywhere. *)
@@ -27,9 +47,12 @@ module type S = sig
     l:int ->
     inputs:int ->
     t
-  (** [create ~rng mem ~name ~l ~inputs] builds an instance for contention
-      budget [l] over original names [0 .. inputs−1].  [params] defaults to
-      {!Exsel_expander.Params.practical}. *)
+  (** [create ?params ~rng mem ~name ~l ~inputs] is
+      [of_plan (plan ?params ~rng ~l ~inputs ()) mem ~name]. *)
+
+  val of_plan : plan -> memory -> name:string -> t
+  (** Allocate a fresh instance's registers in [mem] for the plan's
+      graph. *)
 
   val graph : t -> Exsel_expander.Bipartite.t
   val contention_budget : t -> int

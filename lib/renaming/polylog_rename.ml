@@ -1,5 +1,23 @@
 module Span = Exsel_obs.Span
 
+type plan = { epochs : Basic_rename.plan array; inputs : int; names : int }
+
+(* Plan epochs while the range strictly contracts, mirroring the paper's
+   stopping rule (iterate until N_j reaches its Θ(k) fixpoint). *)
+let plan ?params ~rng ~k ~inputs () =
+  if k <= 0 then invalid_arg "Polylog_rename.plan: k must be positive";
+  if inputs <= 0 then invalid_arg "Polylog_rename.plan: inputs must be positive";
+  let rec go current acc =
+    if Basic_rename.plan_names ?params ~k ~inputs:current () >= current then
+      { epochs = Array.of_list (List.rev acc); inputs; names = current }
+    else
+      let basic =
+        Basic_rename.plan ?params ~rng:(Exsel_sim.Rng.split rng) ~k ~inputs:current ()
+      in
+      go (Basic_rename.names_of_plan basic) (basic :: acc)
+  in
+  go inputs []
+
 module type S = sig
   type memory
   type t
@@ -13,6 +31,7 @@ module type S = sig
     inputs:int ->
     t
 
+  val of_plan : plan -> memory -> name:string -> t
   val epochs : t -> int
   val epoch_ranges : t -> int list
   val names : t -> int
@@ -33,31 +52,22 @@ module Make (B : Exsel_backend.Intf.S) = struct
     names : int;
   }
 
-  (* Build epochs while the range strictly contracts, mirroring the paper's
-     stopping rule (iterate until N_j reaches its Θ(k) fixpoint). *)
-  let create ?params ~rng mem ~name ~k ~inputs =
-    if k <= 0 then invalid_arg "Polylog_rename.create: k must be positive";
-    if inputs <= 0 then invalid_arg "Polylog_rename.create: inputs must be positive";
-    let rec go j current acc =
-      let planned = Basic_rename.plan_names ?params ~k ~inputs:current () in
-      if planned >= current then (current, List.rev acc)
-      else
-        let basic =
-          Basic.create ?params ~rng:(Exsel_sim.Rng.split rng) mem
-            ~name:(Printf.sprintf "%s.epoch%d" name j)
-            ~k ~inputs:current
-        in
-        go (j + 1) (Basic.names basic) (basic :: acc)
+  let of_plan (p : plan) mem ~name =
+    let epochs =
+      Array.mapi
+        (fun i b -> Basic.of_plan b mem ~name:(Printf.sprintf "%s.epoch%d" name (i + 1)))
+        p.epochs
     in
-    let names, epochs = go 1 inputs [] in
-    let epochs = Array.of_list epochs in
     {
       epochs;
       epoch_labels =
         Array.init (Array.length epochs) (fun i -> Printf.sprintf "polylog:epoch=%d" (i + 1));
-      inputs;
-      names;
+      inputs = p.inputs;
+      names = p.names;
     }
+
+  let create ?params ~rng mem ~name ~k ~inputs =
+    of_plan (plan ?params ~rng ~k ~inputs ()) mem ~name
 
   let epochs t = Array.length t.epochs
 

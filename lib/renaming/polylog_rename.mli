@@ -10,6 +10,19 @@
     fixpoint the construction has zero epochs and renaming is the
     identity — the paper's epoch loop simply does not start. *)
 
+type plan
+(** The backend-free, immutable half of an instance: one
+    {!type:Basic_rename.plan} per epoch and the contracting ranges. *)
+
+val plan :
+  ?params:Exsel_expander.Params.t ->
+  rng:Exsel_sim.Rng.t ->
+  k:int ->
+  inputs:int ->
+  unit ->
+  plan
+(** Certify every epoch's graphs, each epoch on its own split of [rng]. *)
+
 (** The construction over any {!Exsel_backend.Intf.S} substrate. *)
 module type S = sig
   type memory
@@ -23,6 +36,10 @@ module type S = sig
     k:int ->
     inputs:int ->
     t
+  (** [of_plan (plan ?params ~rng ~k ~inputs ()) mem ~name]. *)
+
+  val of_plan : plan -> memory -> name:string -> t
+  (** Allocate a fresh instance's registers in [mem], epoch by epoch. *)
 
   val epochs : t -> int
 

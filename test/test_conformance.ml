@@ -184,6 +184,41 @@ let test_runner_schedule_replays () =
     (inst.Runner.check ())
 
 (* ------------------------------------------------------------------ *)
+(* Shared plans                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A campaign's regime cells, its shrink and the explorer's replays run
+   many instances of one plan.  Every regime's run on one [a.instance p]
+   must equal its run on a freshly planned instance — schedule, commits,
+   names and internals — so nothing a run changes is kept in the plan. *)
+let test_shared_plan_leaks_nothing () =
+  let k = 5 in
+  let run (a : Adapter.t) build ~ids ~seed (r : Regime.t) =
+    let run = Adapter.run a build ~ids ~driver:(r.make ~seed ~k) in
+    (run.outcome, run.results, run.built.internals ())
+  in
+  List.iter
+    (fun (a : Adapter.t) ->
+      List.iter
+        (fun seed ->
+          let p = a.campaign ~seed ~k and ids = a.ids ~seed ~k in
+          let shared = a.instance p in
+          List.iter
+            (fun (r : Regime.t) ->
+              let what = Printf.sprintf "%s seed %d %s: " a.id seed r.id in
+              let o, names, internals = run a shared ~ids ~seed r in
+              let o', names', internals' = run a (a.instance p) ~ids ~seed r in
+              Alcotest.(check bool) (what ^ "schedule") true
+                (o.Runner.schedule = o'.Runner.schedule);
+              Alcotest.(check int) (what ^ "commits") o'.commits o.commits;
+              Alcotest.(check (array (option int))) (what ^ "names") names' names;
+              Alcotest.(check (list (pair string int)))
+                (what ^ "internals") internals' internals)
+            Regime.all)
+        [ 1; 2; 3 ])
+    Adapter.honest
+
+(* ------------------------------------------------------------------ *)
 (* Freeze windows (Exsel_lowerbound.Freeze reuse)                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -357,6 +392,8 @@ let () =
             test_runner_detects_livelock;
           Alcotest.test_case "schedule replays" `Quick
             test_runner_schedule_replays;
+          Alcotest.test_case "shared plan leaks nothing" `Quick
+            test_shared_plan_leaks_nothing;
         ] );
       ( "freeze",
         [

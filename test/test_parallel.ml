@@ -113,6 +113,54 @@ let test_seeds_rejections () =
   check_rejects "garbage" "3,x,7" "x";
   check_rejects "trailing comma" "3,7," ""
 
+(* The two accepted forms read back exactly, and every malformed spec is
+   an [Error], never an exception. *)
+let spec_of seeds = String.concat "," (List.map string_of_int seeds)
+
+let prop_seed_list_round_trips =
+  QCheck.Test.make ~name:"a list of distinct seeds round-trips" ~count:300
+    QCheck.(list_of_size Gen.(int_range 2 12) (int_range 0 1_000_000))
+    (fun seeds ->
+      QCheck.assume (List.length (List.sort_uniq compare seeds) = List.length seeds);
+      Campaign.seeds_of_string (spec_of seeds) = Ok seeds)
+
+let prop_seed_count =
+  QCheck.Test.make ~name:"a positive count n gives seeds 1..n" ~count:300
+    QCheck.(int_range 1 10_000)
+    (fun n -> Campaign.seeds_of_string (string_of_int n) = Ok (List.init n (fun i -> i + 1)))
+
+(* [x] put into [l] before its [at mod (length l + 1)]-th element. *)
+let insert_at at x l =
+  let i = at mod (List.length l + 1) in
+  List.filteri (fun j _ -> j < i) l @ (x :: List.filteri (fun j _ -> j >= i) l)
+
+let malformed_spec =
+  let open QCheck.Gen in
+  let seeds = list_size (int_range 1 6) (int_range 0 1000) in
+  let among bad =
+    map3 (fun s at bad -> String.concat "," (insert_at at bad (List.map string_of_int s))) seeds nat bad
+  in
+  let duplicate =
+    seeds >>= fun s ->
+    map2 (fun i at -> spec_of (insert_at at (List.nth s (i mod List.length s)) s)) nat nat
+  in
+  QCheck.make ~print:Fun.id
+    (oneof
+       [
+         duplicate;
+         among (map string_of_int (int_range (-1000) (-1)));
+         among (oneofl [ ""; " " ]);
+         among (string_size ~gen:(char_range 'g' 'w') (int_range 1 4));
+         among (map (Printf.sprintf "%d.5") (int_range 0 9));
+         return "0";
+       ])
+
+let prop_malformed_seeds_rejected =
+  QCheck.Test.make
+    ~name:"duplicates, negatives, empty parts, non-integers and a zero count are errors"
+    ~count:500 malformed_spec (fun spec ->
+      match Campaign.seeds_of_string spec with Ok _ -> false | Error _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Campaign determinism across jobs                                    *)
 (* ------------------------------------------------------------------ *)
@@ -410,6 +458,9 @@ let () =
         [
           Alcotest.test_case "count & list" `Quick test_seeds_count_and_list;
           Alcotest.test_case "rejections" `Quick test_seeds_rejections;
+          QCheck_alcotest.to_alcotest prop_seed_list_round_trips;
+          QCheck_alcotest.to_alcotest prop_seed_count;
+          QCheck_alcotest.to_alcotest prop_malformed_seeds_rejected;
         ] );
       ( "campaign determinism",
         [
