@@ -190,33 +190,32 @@ let test_runner_schedule_replays () =
 (* A campaign's regime cells, its shrink and the explorer's replays run
    many instances of one plan.  Every regime's run on one [a.instance p]
    must equal its run on a freshly planned instance — schedule, commits,
-   names and internals — so nothing a run changes is kept in the plan. *)
+   names and internals — so nothing a run changes is kept in the plan.
+   At k = 5 every Almost-Adaptive run ends at level 0, so a top level
+   kept in the plan would go unseen there; at k = 16 crash-on-write ends
+   a level below the regimes run before it. *)
 let test_shared_plan_leaks_nothing () =
-  let k = 5 in
-  let run (a : Adapter.t) build ~ids ~seed (r : Regime.t) =
-    let run = Adapter.run a build ~ids ~driver:(r.make ~seed ~k) in
-    (run.outcome, run.results, run.built.internals ())
+  let check (a : Adapter.t) ~k seed =
+    let p = a.campaign ~seed ~k and ids = a.ids ~seed ~k in
+    let shared = a.instance p in
+    let run build (r : Regime.t) =
+      let run = Adapter.run a build ~ids ~driver:(r.make ~seed ~k) in
+      (run.outcome, run.results, run.built.internals ())
+    in
+    List.iter
+      (fun (r : Regime.t) ->
+        let what = Printf.sprintf "%s k=%d seed %d %s: " a.id k seed r.id in
+        let o, names, internals = run shared r in
+        let o', names', internals' = run (a.instance p) r in
+        Alcotest.(check bool) (what ^ "schedule") true
+          (o.Runner.schedule = o'.Runner.schedule);
+        Alcotest.(check int) (what ^ "commits") o'.commits o.commits;
+        Alcotest.(check (array (option int))) (what ^ "names") names' names;
+        Alcotest.(check (list (pair string int))) (what ^ "internals") internals' internals)
+      Regime.all
   in
-  List.iter
-    (fun (a : Adapter.t) ->
-      List.iter
-        (fun seed ->
-          let p = a.campaign ~seed ~k and ids = a.ids ~seed ~k in
-          let shared = a.instance p in
-          List.iter
-            (fun (r : Regime.t) ->
-              let what = Printf.sprintf "%s seed %d %s: " a.id seed r.id in
-              let o, names, internals = run a shared ~ids ~seed r in
-              let o', names', internals' = run a (a.instance p) ~ids ~seed r in
-              Alcotest.(check bool) (what ^ "schedule") true
-                (o.Runner.schedule = o'.Runner.schedule);
-              Alcotest.(check int) (what ^ "commits") o'.commits o.commits;
-              Alcotest.(check (array (option int))) (what ^ "names") names' names;
-              Alcotest.(check (list (pair string int)))
-                (what ^ "internals") internals' internals)
-            Regime.all)
-        [ 1; 2; 3 ])
-    Adapter.honest
+  List.iter (fun a -> List.iter (check a ~k:5) [ 1; 2; 3 ]) Adapter.honest;
+  check (adapter "almost-adaptive") ~k:16 1
 
 (* ------------------------------------------------------------------ *)
 (* Freeze windows (Exsel_lowerbound.Freeze reuse)                      *)
