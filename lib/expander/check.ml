@@ -18,11 +18,14 @@ let touch touches adj d =
     touches.(w) <- touches.(w) + d
   done
 
-(* With a subset's touches in place: the member owns an output that no
+(* [adj] owns an output that is touched [c] times; with a subset's
+   touches in place, [c = 1] means the member owns an output that no
    other member touches. *)
-let has_unique touches adj =
-  let rec go i = i < Array.length adj && (touches.(adj.(i)) = 1 || go (i + 1)) in
+let owns c touches adj =
+  let rec go i = i < Array.length adj && (touches.(adj.(i)) = c || go (i + 1)) in
   go 0
+
+let has_unique = owns 1
 
 let winners touches adjs =
   List.fold_left (fun n adj -> if has_unique touches adj then n + 1 else n) 0 adjs
@@ -103,33 +106,55 @@ let exhaustive_cost ~inputs ~l =
   in
   if l < 0 then 0 else go 1 1 1
 
+(* Whether S ∪ {v} has a majority, decided from the touches of S alone:
+   S is the first [size] adjacencies of [adjs], and [adj_v] is v's.  v
+   wins if it owns an output S left untouched; a member of S wins if it
+   owns an output S touches once and v does not hold.  Counting stops at
+   ⌈(size+1)/2⌉ winners. *)
+let majority_with touches adjs size adj_v =
+  let need = (size + 2) / 2 and d = Array.length adj_v in
+  let keeps_unique adj =
+    let rec go i =
+      i < Array.length adj
+      && ((touches.(adj.(i)) = 1 && not (Bipartite.occurs adj.(i) adj_v d)) || go (i + 1))
+    in
+    go 0
+  in
+  let rec count i won =
+    won >= need || (i < size && count (i + 1) (if keeps_unique adjs.(i) then won + 1 else won))
+  in
+  count 0 (if owns 0 touches adj_v then 1 else 0)
+
 let verify_exhaustive g ~l =
   let sc = scratch g in
   let n = Bipartite.inputs g in
-  let violation = ref None in
-  (* enumerate subsets of size <= l by recursive choice; a member's
-     touches are added on the way down and taken off on the way back, so
-     the counter always holds the current subset's *)
-  let rec go start chosen adjs size =
-    match !violation with
-    | Some _ -> ()
-    | None ->
-        if size > 0 && not (majority sc.touches adjs) then violation := Some chosen
-        else if size < l then
-          for v = start to n - 1 do
-            let adj = neighbours sc v in
-            touch sc.touches adj 1;
-            go (v + 1) (v :: chosen) (adj :: adjs) (size + 1);
-            touch sc.touches adj (-1)
-          done
+  let depth = max 0 (min l n) in
+  let chosen = Array.make depth 0 and adjs = Array.make depth [||] in
+  let exception Violation of int list in
+  (* enumerate subsets of size <= l depth-first: the first [size] entries
+     of [chosen] are S and the counter holds S's touches.  Each S ∪ {v} is
+     decided from them, and v is touched only to descend below it. *)
+  let rec extend start size =
+    for v = start to n - 1 do
+      let adj = neighbours sc v in
+      if not (majority_with sc.touches adjs size adj) then
+        raise (Violation (v :: List.init size (fun i -> chosen.(size - 1 - i))));
+      if size + 1 < depth then begin
+        chosen.(size) <- v;
+        adjs.(size) <- adj;
+        touch sc.touches adj 1;
+        extend (v + 1) (size + 1);
+        touch sc.touches adj (-1)
+      end
+    done
   in
-  go 0 [] [] 0;
-  match !violation with None -> Ok () | Some xs -> Error xs
+  match if depth > 0 then extend 0 0 with
+  | () -> Ok ()
+  | exception Violation xs -> Error xs
 
-let random_subset rng n size =
-  let all = Array.init n (fun i -> i) in
-  Rng.shuffle rng all;
-  Array.to_list (Array.sub all 0 size)
+(* A uniform subset of [size] distinct inputs, drawn the way an input's
+   adjacency is. *)
+let random_subset rng n size = Array.to_list (Gen.draw_distinct rng ~degree:size ~outputs:n)
 
 let verify_sampled rng g ~l ~trials =
   let sc = scratch g in

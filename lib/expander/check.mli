@@ -29,9 +29,12 @@ val majority_ok : Bipartite.t -> int list -> bool
     neighbour ([true] on the empty set). *)
 
 val verify_exhaustive : Bipartite.t -> l:int -> (unit, int list) result
-(** Check {!majority_ok} for {e every} subset of inputs of size ≤ [l];
-    returns the first violating subset on failure.  Cost grows as
-    [inputs choose l]; guard with {!exhaustive_cost}. *)
+(** Check {!majority_ok} for {e every} subset of inputs of size ≤ [l],
+    enumerated depth-first in increasing input order; returns the first
+    violating subset, its most recently chosen member first.  Each
+    subset S ∪ [{v}] is decided from the touches of S, so v's outputs
+    are counted only for the subsets below it.  Cost grows as [inputs
+    choose l]; guard with {!exhaustive_cost}. *)
 
 val exhaustive_cost : inputs:int -> l:int -> int
 (** Number of subsets [verify_exhaustive] would enumerate, the sum over
@@ -41,7 +44,10 @@ val exhaustive_cost : inputs:int -> l:int -> int
 val verify_sampled :
   Exsel_sim.Rng.t -> Bipartite.t -> l:int -> trials:int -> (unit, int list) result
 (** Check {!majority_ok} on [trials] uniformly drawn subsets of size exactly
-    [min l inputs]; returns the first violating subset found. *)
+    [min l inputs]; returns the first violating subset found.  Each trial
+    draws its [min l inputs] members with {!Gen.draw_distinct}, so a trial
+    costs that many draws, not a shuffle of every input, whenever
+    [3 * min l inputs < inputs]. *)
 
 val verify_greedy_adversarial :
   Bipartite.t -> l:int -> restarts:int -> seed:int -> (unit, int list) result

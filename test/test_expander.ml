@@ -239,10 +239,21 @@ module Reference = struct
     go 0 [] 0;
     match !violation with None -> Ok () | Some xs -> Error xs
 
+  (* while 3·size < n, one draw per member and a repeat redrawn;
+     otherwise the prefix of a full shuffle *)
   let random_subset rng n size =
-    let all = Array.init n (fun i -> i) in
-    Rng.shuffle rng all;
-    Array.to_list (Array.sub all 0 size)
+    if 3 * size < n then
+      let rec draw acc k =
+        if k = size then List.rev acc
+        else
+          let v = Rng.int rng n in
+          if List.mem v acc then draw acc k else draw (v :: acc) (k + 1)
+      in
+      draw [] 0
+    else
+      let all = Array.init n (fun i -> i) in
+      Rng.shuffle rng all;
+      Array.to_list (Array.sub all 0 size)
 
   let verify_sampled rng g ~l ~trials =
     let n = Bipartite.inputs g in
@@ -283,14 +294,38 @@ let agree params ~seed ~inputs ~l =
     (Rng.bits64 ref_sampled) (Rng.bits64 sampled);
   Result.is_error exhaustive
 
+(* l = 4 only at inputs <= 24, where the exhaustive check decides its
+   leaves beneath two levels of touched members and still runs fast *)
+let seed_inputs_l =
+  QCheck.make
+    ~print:QCheck.Print.(triple int int int)
+    QCheck.Gen.(
+      triple small_int (int_range 8 48) (int_range 1 4) >|= fun (seed, inputs, l) ->
+      (seed, (if l = 4 then 8 + (inputs mod 17) else inputs), l))
+
 let test_checks_agree_with_reference =
   QCheck.Test.make ~name:"array checks agree with list counting on seeded graphs"
-    ~count:60
-    QCheck.(triple small_int (int_range 8 48) (int_range 1 3))
+    ~count:60 seed_inputs_l
     (fun (seed, inputs, l) ->
       ignore (agree Params.practical ~seed ~inputs ~l);
       ignore (agree Params.tight ~seed ~inputs ~l);
       true)
+
+let test_subset_draw =
+  QCheck.Test.make ~name:"subset draw: size distinct inputs, a shuffle prefix when dense"
+    ~count:300
+    QCheck.(triple small_int (int_range 1 64) (int_range 0 64))
+    (fun (seed, inputs, size) ->
+      let size = size mod (inputs + 1) in
+      let xs = Gen.draw_distinct (Rng.create ~seed) ~degree:size ~outputs:inputs in
+      let sorted = List.sort_uniq compare (Array.to_list xs) in
+      List.length sorted = size
+      && List.for_all (fun v -> 0 <= v && v < inputs) sorted
+      && (3 * size < inputs
+         ||
+         let all = Array.init inputs (fun i -> i) in
+         Rng.shuffle (Rng.create ~seed) all;
+         xs = Array.sub all 0 size))
 
 let test_tight_violations_agree () =
   (* tight graphs fail on some subsets: both checks must report the same
@@ -406,6 +441,7 @@ let () =
           QCheck_alcotest.to_alcotest test_expansion_counts;
           QCheck_alcotest.to_alcotest test_majority_random_subsets;
           QCheck_alcotest.to_alcotest test_checks_agree_with_reference;
+          QCheck_alcotest.to_alcotest test_subset_draw;
           Alcotest.test_case "tight violations agree" `Quick test_tight_violations_agree;
         ] );
       ( "lazy-and-presets",
